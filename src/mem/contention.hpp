@@ -19,8 +19,9 @@ struct LocationContention {
   double mean_contention = 0.0;     ///< total / distinct
 };
 
-/// Computes location contention for a trace. O(n log n); the trace is
-/// copied and sorted internally.
+/// Computes location contention for a trace: one O(n) pass of
+/// util::MultiplicityCounter over a table sized for this call. Throws
+/// std::length_error beyond MultiplicityCounter::kMaxKeys requests.
 [[nodiscard]] LocationContention analyze_locations(
     std::span<const std::uint64_t> addrs);
 
@@ -33,7 +34,8 @@ struct BankLoads {
   std::uint64_t nonempty_banks = 0;
 };
 
-/// Tallies requests per bank under `mapping`.
+/// Tallies requests per bank under `mapping`, routing through
+/// BankMapping::bank_of_batch.
 [[nodiscard]] BankLoads analyze_banks(std::span<const std::uint64_t> addrs,
                                       const BankMapping& mapping);
 
@@ -41,6 +43,7 @@ struct BankLoads {
 /// load forced purely by *location* contention: the max multiplicity).
 /// Comparing analyze_banks().max_load against this isolates the extra
 /// contention introduced by the module map — the ratio studied in §4.
+/// Throws std::invalid_argument when num_banks is 0.
 [[nodiscard]] std::uint64_t location_forced_max_load(
     std::span<const std::uint64_t> addrs, std::uint64_t num_banks);
 

@@ -7,33 +7,54 @@
 
 namespace dxbsp::stats {
 
+namespace {
+
+/// Calls visit(value, count) once per distinct value of `xs`, in
+/// ascending value order: a sort of a copy, then a walk over its runs.
+template <typename Visit>
+void for_each_run(std::span<const std::uint64_t> xs, Visit&& visit) {
+  std::vector<std::uint64_t> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    visit(sorted[i], static_cast<std::uint64_t>(j - i));
+    i = j;
+  }
+}
+
+}  // namespace
+
 std::map<std::uint64_t, std::uint64_t> multiplicities(
     std::span<const std::uint64_t> xs) {
   std::map<std::uint64_t, std::uint64_t> m;
-  for (const auto x : xs) ++m[x];
+  for_each_run(xs, [&](std::uint64_t value, std::uint64_t count) {
+    m.emplace_hint(m.end(), value, count);
+  });
   return m;
 }
 
-double shannon_entropy(std::span<const std::uint64_t> xs) {
-  if (xs.empty()) return 0.0;
-  const auto mult = multiplicities(xs);
+ValueProfile value_profile(std::span<const std::uint64_t> xs) {
+  ValueProfile vp;
   const double n = static_cast<double>(xs.size());
-  double h = 0.0;
-  for (const auto& [value, count] : mult) {
-    (void)value;
+  for_each_run(xs, [&](std::uint64_t, std::uint64_t count) {
     const double p = static_cast<double>(count) / n;
-    h -= p * std::log2(p);
-  }
-  return h;
+    vp.entropy_bits -= p * std::log2(p);
+    vp.max_multiplicity = std::max(vp.max_multiplicity, count);
+  });
+  return vp;
+}
+
+double shannon_entropy(std::span<const std::uint64_t> xs) {
+  return value_profile(xs).entropy_bits;
 }
 
 std::map<std::uint64_t, std::uint64_t> contention_spectrum(
     std::span<const std::uint64_t> xs) {
   std::map<std::uint64_t, std::uint64_t> spectrum;
-  for (const auto& [value, count] : multiplicities(xs)) {
-    (void)value;
+  for_each_run(xs, [&](std::uint64_t, std::uint64_t count) {
     ++spectrum[count];
-  }
+  });
   return spectrum;
 }
 

@@ -27,10 +27,11 @@ namespace dxbsp::util {
   return v <= 1 ? 0u : log2_floor(v - 1) + 1u;
 }
 
-/// ceil(a / b) for nonnegative integers, b > 0.
+/// ceil(a / b) for nonnegative integers, b > 0. Exact over the whole
+/// range: no a + b - 1 intermediate that wraps near UINT64_MAX.
 [[nodiscard]] constexpr std::uint64_t ceil_div(std::uint64_t a,
                                                std::uint64_t b) noexcept {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0 ? 1 : 0);
 }
 
 /// Reverses the low `bits` bits of v (classic bit-reversal permutation,

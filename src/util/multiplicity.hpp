@@ -1,6 +1,8 @@
 #pragma once
-// MultiplicityCounter: batched max-multiplicity of a key stream (the
-// QRQW location-contention k charged per bulk op; docs/performance.md).
+// MultiplicityCounter: batched max-multiplicity and distinct count of a
+// key stream (the QRQW location-contention k charged per bulk op, and the
+// distinct-location count of mem::analyze_locations; docs/performance.md).
+// It is the library's one location-contention count.
 //
 // The naive form — a hash-map bump per element — costs two dependent
 // cache misses per key (separate key and value arrays) plus a full
@@ -21,21 +23,32 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace dxbsp::util {
 
+/// Result of one MultiplicityCounter pass.
+struct Multiplicity {
+  std::uint64_t max = 0;       ///< hottest key's multiplicity (0 if empty)
+  std::uint64_t distinct = 0;  ///< number of distinct keys
+};
+
 class MultiplicityCounter {
  public:
-  /// Max multiplicity over `keys` (0 for an empty span). Each call is an
-  /// independent count — nothing carries over from previous calls.
-  /// Spans of 2^32 - 1 or more keys are rejected by the caller-side
-  /// contract (counts are 32-bit); the simulator's bulk ops are far
-  /// below that.
-  [[nodiscard]] std::uint64_t max_multiplicity(
-      std::span<const std::uint64_t> keys) {
+  /// Largest span one call accepts. Per-key counts are 32-bit, so a
+  /// longer span could wrap a count; it is rejected instead.
+  static constexpr std::size_t kMaxKeys = 0xFFFFFFFEU;
+
+  /// Max multiplicity and distinct count over `keys` ({0, 0} for an
+  /// empty span). Each call is an independent count — nothing carries
+  /// over from previous calls. Throws std::length_error for spans longer
+  /// than kMaxKeys.
+  [[nodiscard]] Multiplicity count(std::span<const std::uint64_t> keys) {
     const std::size_t n = keys.size();
-    if (n == 0) return 0;
+    if (n == 0) return {};
+    if (n > kMaxKeys)
+      throw std::length_error("MultiplicityCounter: span exceeds kMaxKeys");
     reserve(n);
     if (++epoch_ == 0) {
       // Epoch wrapped: every stale tag is now "current". Wipe once.
@@ -44,7 +57,8 @@ class MultiplicityCounter {
     }
     const std::uint32_t cur = epoch_;
     constexpr std::size_t kPrefetch = 16;
-    std::uint32_t best = 0;
+    std::uint32_t best = 1;
+    std::size_t distinct = 0;
     for (std::size_t i = 0; i < n; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
       if (i + kPrefetch < n)
@@ -58,7 +72,7 @@ class MultiplicityCounter {
           s.key = key;
           s.epoch = cur;
           s.count = 1;
-          if (best == 0) best = 1;
+          ++distinct;
           break;
         }
         if (s.key == key) {
@@ -68,7 +82,13 @@ class MultiplicityCounter {
         j = (j + 1) & mask_;
       }
     }
-    return best;
+    return {best, distinct};
+  }
+
+  /// Max multiplicity over `keys` (0 for an empty span): count().max.
+  [[nodiscard]] std::uint64_t max_multiplicity(
+      std::span<const std::uint64_t> keys) {
+    return count(keys).max;
   }
 
   /// Grows so a span of `n` keys counts without rehashing. Never
@@ -85,6 +105,8 @@ class MultiplicityCounter {
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
+  friend struct MultiplicityCounterTestPeer;  // drives the epoch wrap
+
   struct Slot {
     std::uint64_t key = 0;
     std::uint32_t epoch = 0;  // tag: valid only when == current epoch

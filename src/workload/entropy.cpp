@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "mem/contention.hpp"
 #include "stats/histogram.hpp"
 #include "util/rng.hpp"
 
@@ -39,8 +38,9 @@ std::vector<EntropyTrace> entropy_family(std::uint64_t n, unsigned rounds,
     t.keys = keys;
     if (space != 0)
       for (auto& k : t.keys) k %= space;
-    t.entropy_bits = stats::shannon_entropy(t.keys);
-    t.max_contention = mem::analyze_locations(t.keys).max_contention;
+    const stats::ValueProfile vp = stats::value_profile(t.keys);
+    t.entropy_bits = vp.entropy_bits;
+    t.max_contention = vp.max_multiplicity;
     family.push_back(std::move(t));
   }
   return family;

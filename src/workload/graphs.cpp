@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
+#include <vector>
 
+#include "util/multiplicity.hpp"
 #include "util/rng.hpp"
 
 namespace dxbsp::workload {
@@ -151,8 +152,8 @@ std::vector<std::uint32_t> reference_components(const Graph& g) {
 }
 
 std::uint64_t count_components(const std::vector<std::uint32_t>& labels) {
-  std::unordered_set<std::uint32_t> roots(labels.begin(), labels.end());
-  return roots.size();
+  const std::vector<std::uint64_t> keys(labels.begin(), labels.end());
+  return util::MultiplicityCounter{}.count(keys).distinct;
 }
 
 }  // namespace dxbsp::workload

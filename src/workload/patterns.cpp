@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace dxbsp::workload {
@@ -12,18 +12,19 @@ namespace dxbsp::workload {
 namespace {
 
 /// Appends `count` distinct random addresses from [0, space) to `out`,
-/// avoiding everything already in `used`.
-void append_distinct(std::vector<std::uint64_t>& out,
-                     std::unordered_set<std::uint64_t>& used,
+/// avoiding everything already in `used` (a set: only membership is
+/// read, so a key's first bump() is its insertion).
+void append_distinct(std::vector<std::uint64_t>& out, util::FlatMap64& used,
                      std::uint64_t count, std::uint64_t space,
                      util::Xoshiro256& rng) {
   if (used.size() + count > space)
     throw std::invalid_argument("address space too small for distinct draw");
+  used.reserve(used.size() + count);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t a;
     do {
       a = rng.below(space);
-    } while (!used.insert(a).second);
+    } while (used.bump(a) != 1);
     out.push_back(a);
   }
 }
@@ -48,8 +49,7 @@ std::vector<std::uint64_t> distinct_random(std::uint64_t n, std::uint64_t space,
     }
     return out;
   }
-  std::unordered_set<std::uint64_t> used;
-  used.reserve(static_cast<std::size_t>(n) * 2);
+  util::FlatMap64 used;
   append_distinct(out, used, n, space, rng);
   return out;
 }
@@ -82,7 +82,7 @@ std::vector<std::uint64_t> multi_hot(std::uint64_t n,
   util::Xoshiro256 rng(util::substream(seed, 3));
   std::vector<std::uint64_t> out;
   out.reserve(n);
-  std::unordered_set<std::uint64_t> used;
+  util::FlatMap64 used;
   // Draw the hot addresses first, then emit k copies of each.
   std::vector<std::uint64_t> hot;
   append_distinct(hot, used, hot_locations, space, rng);
@@ -122,17 +122,31 @@ std::vector<std::uint64_t> zipf(std::uint64_t n, std::uint64_t space,
   if (space == 0 || space > (1ULL << 22))
     throw std::invalid_argument("zipf: space must be in [1, 2^22]");
   if (theta < 0.0) throw std::invalid_argument("zipf: theta must be >= 0");
-  // Inverse-CDF table over the ranks. The hot ranks sit at the low
-  // addresses; callers who need them scattered can hash the result.
-  std::vector<double> cdf(space);
-  double acc = 0.0;
-  for (std::uint64_t r = 0; r < space; ++r) {
-    acc += 1.0 / std::pow(static_cast<double>(r + 1), theta);
-    cdf[r] = acc;
-  }
   util::Xoshiro256 rng(util::substream(seed, 6));
   std::vector<std::uint64_t> out;
   out.reserve(n);
+  if (theta == 0.0) {
+    // pow(x, 0) == 1 exactly (C Annex F), so the table below would hold
+    // cdf[r] = r + 1 and acc = space, all exact in double. lower_bound
+    // picks the first r with r + 1 >= u: r = max(0, ceil(u) - 1).
+    const double total = static_cast<double>(space);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const double c = std::ceil(rng.uniform() * total);
+      out.push_back(c < 1.0 ? 0 : static_cast<std::uint64_t>(c) - 1);
+    }
+    return out;
+  }
+  // Inverse-CDF table over the ranks. The hot ranks sit at the low
+  // addresses; callers who need them scattered can hash the result.
+  // pow(x, 1) == x for every rank here (workload_test checks it over the
+  // whole range), so theta == 1 skips the call with identical bits.
+  std::vector<double> cdf(space);
+  double acc = 0.0;
+  for (std::uint64_t r = 0; r < space; ++r) {
+    const double x = static_cast<double>(r + 1);
+    acc += 1.0 / (theta == 1.0 ? x : std::pow(x, theta));
+    cdf[r] = acc;
+  }
   for (std::uint64_t i = 0; i < n; ++i) {
     const double u = rng.uniform() * acc;
     const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);

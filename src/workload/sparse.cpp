@@ -6,8 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace dxbsp::workload {
@@ -49,14 +50,20 @@ CsrMatrix random_csr(std::uint64_t rows, std::uint64_t cols,
   m.row_ptr.push_back(0);
   m.col_idx.reserve(rows * nnz_per_row);
   m.values.reserve(rows * nnz_per_row);
-  std::unordered_set<std::uint64_t> row_cols;
+  util::FlatMap64 seen;  // membership only: a key's first bump() adds it
+  seen.reserve(nnz_per_row);
+  std::vector<std::uint64_t> row_cols;
+  row_cols.reserve(nnz_per_row);
   for (std::uint64_t r = 0; r < rows; ++r) {
+    seen.clear();
     row_cols.clear();
-    while (row_cols.size() < nnz_per_row) row_cols.insert(rng.below(cols));
+    while (row_cols.size() < nnz_per_row) {
+      const std::uint64_t c = rng.below(cols);
+      if (seen.bump(c) == 1) row_cols.push_back(c);
+    }
     // Deterministic order within the row: sorted columns (CSR convention).
-    std::vector<std::uint64_t> sorted(row_cols.begin(), row_cols.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto c : sorted) {
+    std::sort(row_cols.begin(), row_cols.end());
+    for (const auto c : row_cols) {
       m.col_idx.push_back(c);
       m.values.push_back(rng.uniform());
     }

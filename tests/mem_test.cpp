@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_set>
 
 #include "mem/bank_mapping.hpp"
@@ -192,6 +193,9 @@ TEST(Contention, LocationForcedMaxLoad) {
   EXPECT_EQ(mem::location_forced_max_load(addrs, 2), 5u);
   // With 100 banks the hot location dominates: 4.
   EXPECT_EQ(mem::location_forced_max_load(addrs, 100), 4u);
+  // Zero banks has no meaning (it used to divide by zero).
+  EXPECT_THROW((void)mem::location_forced_max_load(addrs, 0),
+               std::invalid_argument);
 }
 
 /// Property sweep: for k-hot patterns the analyzer must report exactly k.

@@ -13,12 +13,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "svc/coordinator.hpp"
 
@@ -29,9 +31,23 @@ using namespace dxbsp;
 // Injected by CMake: the real bench binary the fleets run.
 const char* worker_bin() { return DXBSP_SVC_WORKER_BIN; }
 
-std::string tmp_dir(const std::string& name) {
-  return ::testing::TempDir() + "dxbsp_chaos_" + name;
+// One root per process, removed at exit: ctest runs each case as its own
+// process, in parallel, and every one of them builds the baseline fleet,
+// so a shared directory would mix their protocol files.
+const std::string& tmp_root() {
+  static const struct Root {
+    std::string path = ::testing::TempDir() + "dxbsp_chaos_" +
+                       std::to_string(::getpid()) + "/";
+    Root() { std::filesystem::create_directories(path); }
+    ~Root() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } root;
+  return root.path;
 }
+
+std::string tmp_dir(const std::string& name) { return tmp_root() + name; }
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -138,6 +138,15 @@ TEST(Bits, CeilDiv) {
   EXPECT_EQ(util::ceil_div(5, 4), 2u);
 }
 
+TEST(Bits, CeilDivDoesNotWrapNearMax) {
+  constexpr std::uint64_t kMax = ~0ULL;
+  EXPECT_EQ(util::ceil_div(kMax, 2), (kMax >> 1) + 1);
+  EXPECT_EQ(util::ceil_div(kMax, kMax), 1u);
+  EXPECT_EQ(util::ceil_div(kMax, 1), kMax);
+  EXPECT_EQ(util::ceil_div(kMax - 1, kMax), 1u);
+  EXPECT_EQ(util::ceil_div(kMax, 3), kMax / 3);  // 3 divides 2^64 - 1
+}
+
 TEST(Bits, ReverseBits) {
   EXPECT_EQ(util::reverse_bits(0b001, 3), 0b100u);
   EXPECT_EQ(util::reverse_bits(0b110, 3), 0b011u);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <unordered_set>
 
@@ -97,6 +99,78 @@ TEST(Patterns, DeterministicInSeed) {
             workload::k_hot(500, 20, 1 << 16, 42));
   EXPECT_NE(workload::k_hot(500, 20, 1 << 16, 42),
             workload::k_hot(500, 20, 1 << 16, 43));
+}
+
+/// FNV-1a over the little-endian bytes of every element.
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t x : xs) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Patterns, GeneratorOutputIsPinned) {
+  // Digests of the generators' output at fixed seeds. Generators feed
+  // every figure, so a change to their dedupe table or sampling fast
+  // paths must leave these bytes exactly as they are.
+  EXPECT_EQ(fnv1a(workload::k_hot(1 << 15, 1 << 10, 1 << 26, 1995)),
+            0xc26cbce7eda55cb9ULL);
+  EXPECT_EQ(fnv1a(workload::k_hot(4096, 1, 1 << 20, 7)),
+            0xf07c24108fcd4c32ULL);
+  EXPECT_EQ(fnv1a(workload::multi_hot(1 << 15, 64, 128, 1 << 26, 1995)),
+            0x113c42c48a69b21fULL);
+  EXPECT_EQ(fnv1a(workload::multi_hot(5000, 10, 100, 1 << 20, 5)),
+            0x8102dbcb01025321ULL);
+  EXPECT_EQ(fnv1a(workload::distinct_random(1 << 15, 1 << 26, 1995)),
+            0x239adc195732b8b6ULL);
+  EXPECT_EQ(fnv1a(workload::distinct_random(1000, 1500, 3)),
+            0x6a5c04cf6c8bf6a2ULL);
+  struct Zipf {
+    double theta;
+    std::uint64_t pow2_space;  // zipf(1<<15, 1<<16, theta, 1995)
+    std::uint64_t odd_space;   // zipf(1<<15, 100003, theta, 11)
+  };
+  const Zipf zipfs[] = {
+      {0.0, 0x4cdb46825201d8c3ULL, 0xcd665bdea0a2994cULL},
+      {0.5, 0x58ae092b2aadebdaULL, 0x42d3f4adcdcd1419ULL},
+      {0.8, 0xae398ddf96fe01bbULL, 0xe5ef33ec483d192cULL},
+      {1.0, 0x796b747f2b9ac1a7ULL, 0x0af213e15b81b496ULL},
+      {1.2, 0x83f5a0a6e585a16aULL, 0x2ec836a568e143eaULL},
+      {1.5, 0x26a79e9b239aaeb5ULL, 0x5b9861bcd33ff15eULL},
+  };
+  for (const Zipf& z : zipfs) {
+    EXPECT_EQ(fnv1a(workload::zipf(1 << 15, 1 << 16, z.theta, 1995)),
+              z.pow2_space)
+        << "theta " << z.theta;
+    EXPECT_EQ(fnv1a(workload::zipf(1 << 15, 100003, z.theta, 11)),
+              z.odd_space)
+        << "theta " << z.theta;
+  }
+  const auto csr = workload::random_csr(4096, 1 << 16, 8, 1995);
+  std::vector<std::uint64_t> value_bits(csr.values.size());
+  std::memcpy(value_bits.data(), csr.values.data(),
+              value_bits.size() * sizeof(double));
+  EXPECT_EQ(fnv1a(csr.col_idx), 0x2cf5211fbfd1f16aULL);
+  EXPECT_EQ(fnv1a(value_bits), 0x4f7b68ac6e14b7c6ULL);
+  EXPECT_EQ(fnv1a(workload::random_csr(64, 10, 10, 3).col_idx),
+            0x0e3db4e89859ab25ULL);  // every column of every row
+}
+
+TEST(Patterns, PowOfOneIsExactOverZipfRanks) {
+  // zipf's theta == 1 path divides by the rank instead of pow(rank, 1);
+  // that keeps its bits only while pow(x, 1.0) == x for every rank.
+  volatile double one_in = 1.0;  // keeps the call from being folded away
+  const double one = one_in;
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t r = 1; r <= (1ULL << 22); ++r) {
+    const double x = static_cast<double>(r);
+    if (std::pow(x, one) != x) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Entropy, FamilyEntropyDecreasesContentionIncreases) {
