@@ -51,17 +51,16 @@ inline bool is_execution_flag(const std::string& name) {
          name == "svc-lease";
 }
 
-/// Parses --engine=auto|calendar|reference (docs/performance.md
+/// Parses --engine=auto|reference (docs/performance.md
 /// §selector). kAuto is the default; pinning is a workload flag — it can
 /// change which code ran and therefore the selector section — so it is
 /// NOT in is_execution_flag.
 inline sim::Machine::Engine engine_from_cli(const util::Cli& cli) {
   const std::string name = cli.get("engine", "auto");
   if (name == "auto") return sim::Machine::Engine::kAuto;
-  if (name == "calendar") return sim::Machine::Engine::kCalendar;
   if (name == "reference") return sim::Machine::Engine::kReference;
   raise(ErrorCode::kConfig,
-        "--engine must be auto, calendar or reference (got '" + name + "')");
+        "--engine must be auto or reference (got '" + name + "')");
 }
 
 /// Observability wiring shared by every bench (docs/observability.md):

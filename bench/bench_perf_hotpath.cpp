@@ -1,14 +1,16 @@
 // Perf 4: hot-path regression harness for the event engine.
 //
 // Runs the same workloads through all THREE engine modes in one
-// invocation — the reference priority_queue loop, the pinned
-// calendar-queue scheduler, and the adaptive selector (kAuto, the
-// default; docs/performance.md §selector) — and reports simulator
-// throughput as host metrics: events processed per wall-clock second
-// and simulated cycles per second, per scenario and mode, plus the
-// auto-vs-best-fixed speedup. Every run also cross-checks that all
-// modes produced identical telemetry (the cheap always-on slice of
-// tests/engine_equivalence_test.cpp), so the sanitizer CI job gets
+// invocation — the reference priority_queue loop, the fixed batched
+// route (kAuto with selector().force(kDense): the dense path where the
+// op is dense-eligible, the binary-heap scheduler otherwise), and the
+// adaptive selector (kAuto, the default; docs/performance.md §selector)
+// — and reports simulator throughput as host metrics: events processed
+// per wall-clock second and simulated cycles per second, per scenario
+// and mode, plus the auto-vs-best-fixed speedup (best fixed = the
+// faster of reference and the fixed route). Every run also cross-checks
+// that all modes produced identical telemetry (the cheap always-on slice
+// of tests/engine_equivalence_test.cpp), so the sanitizer CI job gets
 // correctness value from the bench even though it skips the throughput
 // gate.
 //
@@ -16,7 +18,7 @@
 // code: the SoA batched kernel (headline: uniform random, p=64, x=4,
 // d=8, 1M requests), the scheduled path (tight slackness window),
 // combining, bank caching, and a faulty run (retry backoffs through the
-// scheduler's overflow heap).
+// scheduler).
 //
 // Flags beyond the shared set (--seed, --csv, observability):
 //   --n=N        headline request count        (default 1048576)
@@ -31,6 +33,7 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,10 +60,13 @@ struct Measurement {
   sim::BulkResult bulk;
 };
 
+/// `force` pins the selector's raw choice (the fixed column).
 Measurement run_engine(const Scenario& sc, sim::Machine::Engine engine,
-                       std::uint64_t reps) {
+                       std::uint64_t reps,
+                       std::optional<obs::EngineChoice> force = std::nullopt) {
   sim::Machine m(sc.cfg);
   m.set_engine(engine);
+  m.selector().force(force);
   if (sc.plan) m.inject(sc.plan);
 
   Measurement best;
@@ -116,7 +122,7 @@ std::vector<Scenario> build_scenarios(std::uint64_t n_headline,
   }
   {
     // Tight slackness: the completion-window gate binds, so the general
-    // calendar path (and its stall bookkeeping) is what is timed.
+    // heap-scheduled path (and its stall bookkeeping) is what is timed.
     Scenario sc;
     sc.name = "hot_tight_window";
     sc.cfg = sim::MachineConfig::parse("p=16,x=4,d=4,g=1,L=8,S=64");
@@ -140,8 +146,8 @@ std::vector<Scenario> build_scenarios(std::uint64_t n_headline,
     out.push_back(std::move(sc));
   }
   {
-    // Faulty: drops with a retry budget — backoffs land past the wheel
-    // horizon, timing the scheduler's overflow heap and the fault path.
+    // Faulty: drops with a retry budget — backoffs land far in the
+    // future, timing the scheduler under retries and the fault path.
     Scenario sc;
     sc.name = "faulty_drop_retry";
     sc.cfg = sim::MachineConfig::parse("p=16,x=4,d=4,g=1,L=8");
@@ -170,27 +176,30 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = cli.get_uint("seed", 1995);
 
     bench::Obs obs(cli, "Perf 4 (hot path)",
-                   "Event-engine throughput, auto vs calendar vs reference; "
+                   "Event-engine throughput, auto vs fixed vs reference; "
                    "headline n = " + std::to_string(n) +
                        ", reps = " + std::to_string(reps));
 
     auto& reg = obs::MetricsRegistry::global();
-    util::Table t({"scenario", "n", "ref Mev/s", "cal Mev/s", "auto Mev/s",
+    util::Table t({"scenario", "n", "ref Mev/s", "fixed Mev/s", "auto Mev/s",
                    "speedup", "cycles"});
     double worst_speedup = 1e300;
     std::string worst_name = "none";
 
     for (const auto& sc : build_scenarios(n, seed)) {
       const auto ref = run_engine(sc, sim::Machine::Engine::kReference, reps);
-      const auto cal = run_engine(sc, sim::Machine::Engine::kCalendar, reps);
+      // Dense where eligible, heap otherwise: a forced kDense is demoted
+      // to kHeap on ops the dense path cannot run exactly.
+      const auto fixed = run_engine(sc, sim::Machine::Engine::kAuto, reps,
+                                    obs::EngineChoice::kDense);
       const auto aut = run_engine(sc, sim::Machine::Engine::kAuto, reps);
-      check_agreement(sc, "calendar", cal.bulk, ref.bulk);
+      check_agreement(sc, "fixed", fixed.bulk, ref.bulk);
       check_agreement(sc, "auto", aut.bulk, ref.bulk);
 
       // The headline figure: does the adaptive selector beat the BETTER
       // of the two fixed engines on this workload class?
       const double best_fixed =
-          std::max(ref.events_per_sec, cal.events_per_sec);
+          std::max(ref.events_per_sec, fixed.events_per_sec);
       const double speedup =
           best_fixed > 0.0 ? aut.events_per_sec / best_fixed : 0.0;
       if (speedup < worst_speedup) {
@@ -198,7 +207,7 @@ int main(int argc, char** argv) {
         worst_name = sc.name;
       }
       t.add_row(sc.name, sc.addrs.size(), ref.events_per_sec / 1e6,
-                cal.events_per_sec / 1e6, aut.events_per_sec / 1e6, speedup,
+                fixed.events_per_sec / 1e6, aut.events_per_sec / 1e6, speedup,
                 aut.bulk.cycles);
 
       // Host metrics (wall-clock dependent, excluded from deterministic
@@ -207,14 +216,14 @@ int main(int argc, char** argv) {
       const std::string pre = "perf." + sc.name;
       reg.gauge(pre + ".events_per_sec.reference", obs::Stability::kHost)
           .observe(static_cast<std::uint64_t>(ref.events_per_sec));
-      reg.gauge(pre + ".events_per_sec.calendar", obs::Stability::kHost)
-          .observe(static_cast<std::uint64_t>(cal.events_per_sec));
+      reg.gauge(pre + ".events_per_sec.fixed", obs::Stability::kHost)
+          .observe(static_cast<std::uint64_t>(fixed.events_per_sec));
       reg.gauge(pre + ".events_per_sec.auto", obs::Stability::kHost)
           .observe(static_cast<std::uint64_t>(aut.events_per_sec));
       reg.gauge(pre + ".cycles_per_sec.reference", obs::Stability::kHost)
           .observe(static_cast<std::uint64_t>(ref.cycles_per_sec));
-      reg.gauge(pre + ".cycles_per_sec.calendar", obs::Stability::kHost)
-          .observe(static_cast<std::uint64_t>(cal.cycles_per_sec));
+      reg.gauge(pre + ".cycles_per_sec.fixed", obs::Stability::kHost)
+          .observe(static_cast<std::uint64_t>(fixed.cycles_per_sec));
       reg.gauge(pre + ".cycles_per_sec.auto", obs::Stability::kHost)
           .observe(static_cast<std::uint64_t>(aut.cycles_per_sec));
       reg.gauge(pre + ".speedup_x100", obs::Stability::kHost)

@@ -270,7 +270,7 @@ PERF=./build-ci/bench/bench_perf_hotpath
 
 # Engine cross-check plus the selector suite under the sanitizers
 # (throughput numbers from a sanitized build are meaningless, so no
-# gate — the bench itself fails on any reference/calendar/auto
+# gate — the bench itself fails on any reference/heap/auto
 # telemetry mismatch).
 ./build-ci-san/bench/bench_perf_hotpath --quick --reps=1 > /dev/null
 ./build-ci-san/tests/engine_select_test > /dev/null

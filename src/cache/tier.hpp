@@ -12,8 +12,8 @@
 //
 // Determinism: tag state is plain arrays updated in event pop order,
 // which is identical across engines — so hit/miss outcomes, counters
-// and eviction traffic are bit-identical between kCalendar and
-// kReference (tests/engine_equivalence_test.cpp).
+// and eviction traffic are bit-identical between every kAuto strategy
+// and kReference (tests/engine_equivalence_test.cpp).
 
 #include <cstdint>
 #include <span>

@@ -19,7 +19,7 @@
 // so the terms sum to the measured cycles by construction — an identity
 // Machine::run enforces on every operation. Both engines latch the same
 // critical event (pop order is identical), so the breakdown is
-// bit-identical between kCalendar and kReference.
+// bit-identical between every kAuto strategy and kReference.
 //
 // The bank-load distribution of the operation is kept as a mergeable
 // sketch: an exact histogram up to 64 requests per bank plus an
@@ -140,7 +140,7 @@ struct BankLoadSketch {
 /// Latch rule: the FIRST event in pop order whose ack strictly exceeds
 /// every earlier ack. Pop order is identical across engines
 /// ((depart, proc, attempt, elem) tiebreaks), so the latched breakdown
-/// is bit-identical between kCalendar and kReference.
+/// is bit-identical between every kAuto strategy and kReference.
 class CostAttributor {
  public:
   void begin() noexcept {

@@ -41,7 +41,9 @@
 
 namespace dxbsp::obs {
 
-inline constexpr std::uint32_t kFlightVersion = 1;
+// Version 2: EngineChoice codes renumbered (calendar removed), so a
+// version-1 ring is refused instead of decoded with the wrong names.
+inline constexpr std::uint32_t kFlightVersion = 2;
 inline constexpr std::size_t kFlightHeaderBytes = 64;
 inline constexpr std::size_t kFlightRecordBytes = 64;
 /// Default ring file size (header + slots); 64 KiB holds ~1000 records.

@@ -8,7 +8,6 @@ namespace dxbsp::obs {
 const char* engine_choice_name(EngineChoice c) noexcept {
   switch (c) {
     case EngineChoice::kReference: return "reference";
-    case EngineChoice::kCalendar: return "calendar";
     case EngineChoice::kDense: return "dense";
     case EngineChoice::kHeap: return "heap";
     case EngineChoice::kSoA: return "soa";

@@ -17,18 +17,18 @@
 
 namespace dxbsp::obs {
 
-/// Execution strategy a bulk operation was dispatched to. The first two
-/// mirror the pinnable sim::Machine::Engine values; the rest are the
-/// kAuto-only specializations.
+/// Execution strategy a bulk operation was dispatched to. kReference
+/// mirrors the pinnable sim::Machine::Engine value; the rest are what
+/// kAuto dispatches to. The values are wire codes (svc payloads, flight
+/// records), contiguous from 0.
 enum class EngineChoice : std::uint8_t {
   kReference,  ///< original priority_queue loop (oracle)
-  kCalendar,   ///< calendar-queue scheduler, general path
   kDense,      ///< dense fast path (window cannot bind, no faults)
   kHeap,       ///< binary-heap scheduler over the batched-route state
   kSoA,        ///< structure-of-arrays batched bank-service kernel
 };
 
-inline constexpr std::size_t kEngineChoices = 5;
+inline constexpr std::size_t kEngineChoices = 4;
 [[nodiscard]] const char* engine_choice_name(EngineChoice c) noexcept;
 
 /// Sentinel for "no previous superstep": the binding-term feature is the
@@ -52,7 +52,7 @@ struct SelectorRow {
   bool eligible_soa = false;
   bool forced = false;    ///< engine pinned (--engine) or test-forced
   bool fallback = false;  ///< raw choice was ineligible; demoted safely
-  EngineChoice choice = EngineChoice::kCalendar;  ///< what actually ran
+  EngineChoice choice = EngineChoice::kHeap;  ///< what actually ran
 
   friend bool operator==(const SelectorRow&, const SelectorRow&) = default;
 };

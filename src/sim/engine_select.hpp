@@ -53,11 +53,6 @@ struct EngineFeatures {
 /// threaded and fleet execution see identical decision sequences).
 class EngineSelector {
  public:
-  /// Scheduler-population threshold: below p·window live events the
-  /// binary heap's cache footprint beats the calendar wheel's bucket
-  /// scan; above it the wheel's O(1) amortized pop wins.
-  static constexpr std::uint64_t kHeapEventLimit = 4096;
-
   [[nodiscard]] obs::EngineChoice decide(const EngineFeatures& f) const;
 
   /// Integer (d,x)-BSP prediction for the selector log:

@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "resilience/error.hpp"
 #include "util/bits.hpp"
-#include "util/calendar_queue.hpp"
 #include "util/scratch.hpp"
 #include "util/soa.hpp"
 
@@ -92,7 +91,7 @@ Network make_network(const MachineConfig& cfg) {
 namespace {
 
 /// Per-processor issue state during one bulk operation (reference
-/// engine; the calendar engine uses the flattened ProcFlat).
+/// engine; the batched-route engine uses the flattened ProcFlat).
 struct ProcState {
   std::uint64_t begin = 0;       // first element index (block) / proc id (cyclic)
   std::uint64_t count = 0;       // elements owned
@@ -103,7 +102,7 @@ struct ProcState {
   std::vector<std::uint64_t> completions;
 };
 
-/// Calendar-engine per-processor state: POD so the whole array lives in
+/// Batched-route engine per-processor state: POD so the whole array lives in
 /// one reusable scratch vector; the completion ring is a slice
 /// [ring_off, ring_off + window) of one shared flat ring buffer.
 struct ProcFlat {
@@ -122,7 +121,8 @@ struct Event {
   std::uint32_t attempt;  // 0 = fresh issue; k >= 1 = k-th retry
   // Min-queue by (depart, proc, attempt, elem): the tiebreaks make the
   // simulation deterministic regardless of scheduler internals, and both
-  // engines (heap and calendar queue) pop in exactly this order.
+  // schedulers (EventHeap and the reference priority_queue) pop in
+  // exactly this order.
   friend bool operator>(const Event& a, const Event& b) {
     if (a.depart != b.depart) return a.depart > b.depart;
     if (a.proc != b.proc) return a.proc > b.proc;
@@ -131,25 +131,34 @@ struct Event {
   }
 };
 
-struct EventKey {
-  std::uint64_t operator()(const Event& e) const noexcept { return e.depart; }
-};
-
-/// Binary-heap scheduler with the CalendarQueue's push/pop/reset shape,
-/// so the general event loop is generic over the two. Storage persists
+/// Binary-heap scheduler of the batched-route engine. Storage persists
 /// across bulk ops (reset() keeps capacity). Pop order is the total
-/// Event order — identical to both the calendar wheel and the reference
-/// engine's priority_queue.
+/// Event order — identical to the reference engine's priority_queue.
+/// It holds one pending issue per processor plus in-flight retries:
+/// about p live events, a few heap levels (docs/performance.md
+/// §scheduler).
 struct EventHeap {
+  // Event::operator>'s order, with (depart, proc, attempt) compared as
+  // one 128-bit key: choosing between siblings takes no data-dependent
+  // branch, which matters when every processor departs on the same
+  // cycle (docs/performance.md §scheduler).
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      using U = unsigned __int128;
+      const U ka = U{a.depart} << 64 | std::uint64_t{a.proc} << 32 | a.attempt;
+      const U kb = U{b.depart} << 64 | std::uint64_t{b.proc} << 32 | b.attempt;
+      return ka != kb ? ka > kb : a.elem > b.elem;
+    }
+  };
   std::vector<Event> events;
   void reset() noexcept { events.clear(); }
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
   void push(const Event& e) {
     events.push_back(e);
-    std::push_heap(events.begin(), events.end(), std::greater<>{});
+    std::push_heap(events.begin(), events.end(), Later{});
   }
   Event pop() {
-    std::pop_heap(events.begin(), events.end(), std::greater<>{});
+    std::pop_heap(events.begin(), events.end(), Later{});
     const Event e = events.back();
     events.pop_back();
     return e;
@@ -177,7 +186,6 @@ constexpr std::uint64_t kFusedChainBanks = 1ULL << 15;
 /// (docs/performance.md §scratch).
 struct Machine::EngineState {
   util::ScratchArena arena;
-  util::CalendarQueue<Event, EventKey> queue{4096};
   EventHeap heap;
 };
 
@@ -337,9 +345,6 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   obs::EngineChoice choice;
   if (engine_ == Engine::kReference) {
     choice = obs::EngineChoice::kReference;
-  } else if (engine_ == Engine::kCalendar) {
-    choice = feat.eligible_dense ? obs::EngineChoice::kDense
-                                 : obs::EngineChoice::kCalendar;
   } else {
     choice = selector_.decide(feat);
   }
@@ -356,7 +361,7 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   const std::uint64_t makespan =
       choice == obs::EngineChoice::kReference
           ? run_reference(ids, ids_are_banks, timing, res, tally)
-          : run_calendar(ids, ids_are_banks, timing, res, tally, choice);
+          : run_batched(ids, ids_are_banks, timing, res, tally, choice);
 
   if (res.completed + tally.failed != res.n)
     raise(ErrorCode::kInternal, "Machine: request conservation violated");
@@ -675,11 +680,11 @@ std::uint64_t Machine::run_reference(std::span<const std::uint64_t> ids,
   return makespan;
 }
 
-std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
-                                    bool ids_are_banks,
-                                    RequestTiming* timing, BulkResult& res,
-                                    FailTally& tally,
-                                    obs::EngineChoice choice) {
+std::uint64_t Machine::run_batched(std::span<const std::uint64_t> ids,
+                                   bool ids_are_banks,
+                                   RequestTiming* timing, BulkResult& res,
+                                   FailTally& tally,
+                                   obs::EngineChoice choice) {
   const fault::FaultPlan* plan = plan_.get();
   const std::uint64_t p = config_.processors;
   const std::uint64_t n = ids.size();
@@ -745,9 +750,8 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   }
   res.max_proc_requests = max_count;
 
-  // Specialization eligibility for the scheduled loop below (kAuto
-  // only: the pinned engines are frozen baselines).
-  const bool no_obs = engine_ == Engine::kAuto && tier == nullptr &&
+  // Specialization eligibility for the scheduled loop below.
+  const bool no_obs = tier == nullptr &&
                       (trace_ == nullptr || trace_passive_) &&
                       timing == nullptr;
   const bool no_ring = no_obs && config_.slackness >= max_count;
@@ -848,29 +852,22 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
     return makespan;
   }
 
-  // General path, scheduled by either the calendar wheel (kCalendar) or
-  // the binary heap (kHeap): pop order is identical — the total Event
-  // order — so the queue choice is pure performance
-  // (util/calendar_queue.hpp; EventHeap above). Retry backoffs beyond
-  // the wheel horizon take the calendar queue's internal heap fallback.
-  //
-  // Under kAuto two compile-time specializations shave the per-event
-  // constant without touching pop order or results (the pinned engines
-  // deliberately stay on the unspecialized loop — they are the frozen
-  // A/B baselines; docs/performance.md §selector):
+  // General path, scheduled by the binary heap in the total Event order
+  // (EventHeap above). Two compile-time specializations shave the
+  // per-event constant without touching pop order or results:
   //   kNoObs:  tier, tracer and timing are null for this op — fold the
   //            observability branches away entirely.
   //   kNoRing: S >= every per-processor count, so the outstanding
   //            window provably never gates an issue — skip the
   //            completion-ring writes (the only random-access store on
   //            the fresh-issue path).
-  auto scheduled = [&](auto& q, auto no_obs_c, auto no_ring_c)
-      -> std::uint64_t {
+  auto scheduled = [&](auto no_obs_c, auto no_ring_c) -> std::uint64_t {
   constexpr bool kNoObs = decltype(no_obs_c)::value;
   constexpr bool kNoRing = decltype(no_ring_c)::value;
   obs::TraceRing* const tr = kNoObs ? nullptr : trace_;
   RequestTiming* const tm = kNoObs ? nullptr : timing;
   cache::CacheTier* const tierp = kNoObs ? nullptr : tier;
+  EventHeap& q = st.heap;
   q.reset();
   for (std::uint64_t i = 0; i < p; ++i)
     if (procs[i].count > 0)
@@ -1030,14 +1027,9 @@ std::uint64_t Machine::run_calendar(std::span<const std::uint64_t> ids,
   return makespan;
   };  // scheduled
 
-  const auto run_q = [&](auto no_obs_c, auto no_ring_c) {
-    if (choice == obs::EngineChoice::kHeap)
-      return scheduled(st.heap, no_obs_c, no_ring_c);
-    return scheduled(st.queue, no_obs_c, no_ring_c);
-  };
-  if (no_ring) return run_q(std::true_type{}, std::true_type{});
-  if (no_obs) return run_q(std::true_type{}, std::false_type{});
-  return run_q(std::false_type{}, std::false_type{});
+  if (no_ring) return scheduled(std::true_type{}, std::true_type{});
+  if (no_obs) return scheduled(std::true_type{}, std::false_type{});
+  return scheduled(std::false_type{}, std::false_type{});
 }
 
 std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,

@@ -159,15 +159,13 @@ class Machine {
 
   /// Event-engine selection (docs/performance.md). kAuto — the default —
   /// classifies each bulk op from cheap pre-dispatch features
-  /// (EngineSelector) and dispatches it to the calendar wheel, the binary
-  /// heap, the dense fast path or the SoA batched kernel; kCalendar pins
-  /// the calendar-queue scheduler (with its dense fast path), kReference
-  /// the original heap-based loop, kept for differential testing and
-  /// before/after benchmarking. All strategies produce bit-identical
-  /// BulkResult/RequestTiming/trace output
-  /// (tests/engine_equivalence_test.cpp). Compiling with
-  /// -DDXBSP_REFERENCE_ENGINE pins the default to kReference.
-  enum class Engine { kCalendar, kReference, kAuto };
+  /// (EngineSelector) and dispatches it to the binary-heap scheduler,
+  /// the dense fast path or the SoA batched kernel; kReference pins the
+  /// original priority_queue loop, kept as the oracle for differential
+  /// testing and before/after benchmarking. All strategies produce
+  /// bit-identical BulkResult/RequestTiming/trace output
+  /// (tests/engine_equivalence_test.cpp).
+  enum class Engine { kReference, kAuto };
   void set_engine(Engine e) noexcept { engine_ = e; }
   [[nodiscard]] Engine engine() const noexcept { return engine_; }
 
@@ -308,23 +306,23 @@ class Machine {
   FaultyBulk run(std::span<const std::uint64_t> ids, bool ids_are_banks,
                  RequestTiming* timing = nullptr);
 
-  /// The original priority_queue event loop (pre-calendar hot path);
-  /// returns the makespan.
+  /// The original priority_queue event loop (the oracle); returns the
+  /// makespan.
   std::uint64_t run_reference(std::span<const std::uint64_t> ids,
                               bool ids_are_banks, RequestTiming* timing,
                               BulkResult& res, FailTally& tally);
 
-  /// Batched-routing engine hosting the scheduled paths (calendar wheel
-  /// or binary heap, per `choice`), the dense fast path and the SoA
-  /// batched kernel.
-  std::uint64_t run_calendar(std::span<const std::uint64_t> ids,
-                             bool ids_are_banks, RequestTiming* timing,
-                             BulkResult& res, FailTally& tally,
-                             obs::EngineChoice choice);
+  /// Batched-route engine: one bank-routing pass per op, then the
+  /// binary-heap scheduled loop, the dense fast path or the SoA batched
+  /// kernel, per `choice`.
+  std::uint64_t run_batched(std::span<const std::uint64_t> ids,
+                            bool ids_are_banks, RequestTiming* timing,
+                            BulkResult& res, FailTally& tally,
+                            obs::EngineChoice choice);
 
   /// Structure-of-arrays batched kernel (docs/performance.md §soa);
   /// exact only under EngineFeatures::eligible_soa. `route` is the
-  /// per-element bank plane already computed by run_calendar.
+  /// per-element bank plane already computed by run_batched.
   std::uint64_t run_soa(std::span<const std::uint64_t> ids,
                         bool ids_are_banks, const std::uint64_t* route,
                         BulkResult& res, std::uint64_t max_count);
@@ -360,12 +358,8 @@ class Machine {
   // and the location-contention counting table, reused across bulk ops.
   obs::CostAttributor attr_;
   util::MultiplicityCounter contention_;
-#ifdef DXBSP_REFERENCE_ENGINE
-  Engine engine_ = Engine::kReference;
-#else
   Engine engine_ = Engine::kAuto;
-#endif
-  // Calendar-engine working state (scheduler buckets, route vector,
+  // Batched-route engine working state (event heap, route vector,
   // per-processor issue state, completion rings), allocated on first use
   // and reused across every bulk op of this Machine's lifetime.
   struct EngineState;

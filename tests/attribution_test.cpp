@@ -21,6 +21,8 @@
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
 
+#include "engine_test_util.hpp"
+
 namespace dxbsp {
 namespace {
 
@@ -56,33 +58,35 @@ std::shared_ptr<const fault::FaultPlan> chaos_plan(std::uint64_t banks) {
 
 // ---- The attribution identity, property-style: sum(terms) == cycles
 // on every operation, and the breakdown is bit-identical between the
-// calendar and reference engines. ----
+// heap-scheduled loop (kAuto forced to kHeap) and the reference
+// engine. ----
 
 void check_identity(sim::MachineConfig cfg,
                     const std::vector<std::uint64_t>& addrs,
                     std::shared_ptr<const fault::FaultPlan> plan,
                     std::shared_ptr<const mem::BankMapping> mapping) {
-  sim::Machine cal = mapping ? sim::Machine(cfg, mapping) : sim::Machine(cfg);
+  sim::Machine heap = mapping ? sim::Machine(cfg, mapping) : sim::Machine(cfg);
   sim::Machine ref = mapping ? sim::Machine(cfg, mapping) : sim::Machine(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
+  engine_test::force_heap(heap);
   ref.set_engine(sim::Machine::Engine::kReference);
   if (plan) {
-    cal.inject(plan);
+    heap.inject(plan);
     ref.inject(plan);
   }
-  // Two rounds so the calendar engine's scratch-arena reuse is covered.
+  // Two rounds so the batched-route engine's scratch-arena reuse is
+  // covered.
   for (int round = 0; round < 2; ++round) {
-    const auto out_cal = cal.scatter_faulty(addrs);
+    const auto out_heap = heap.scatter_faulty(addrs);
     const auto out_ref = ref.scatter_faulty(addrs);
-    EXPECT_EQ(out_cal.bulk.breakdown.total(), out_cal.bulk.cycles)
-        << "calendar identity, round " << round;
+    EXPECT_EQ(out_heap.bulk.breakdown.total(), out_heap.bulk.cycles)
+        << "heap identity, round " << round;
     EXPECT_EQ(out_ref.bulk.breakdown.total(), out_ref.bulk.cycles)
         << "reference identity, round " << round;
-    EXPECT_EQ(out_cal.bulk.breakdown, out_ref.bulk.breakdown)
+    EXPECT_EQ(out_heap.bulk.breakdown, out_ref.bulk.breakdown)
         << "round " << round;
-    EXPECT_EQ(out_cal.bulk.bank_sketch, out_ref.bulk.bank_sketch)
+    EXPECT_EQ(out_heap.bulk.bank_sketch, out_ref.bulk.bank_sketch)
         << "round " << round;
-    EXPECT_EQ(out_cal.bulk.max_location_contention,
+    EXPECT_EQ(out_heap.bulk.max_location_contention,
               out_ref.bulk.max_location_contention)
         << "round " << round;
   }
@@ -131,11 +135,11 @@ TEST(AttributionIdentity, ScatterBanksPath) {
   std::vector<std::uint64_t> banks(5000);
   for (std::size_t i = 0; i < banks.size(); ++i)
     banks[i] = (i * 7 + i / 13) % cfg.banks();
-  sim::Machine cal(cfg);
+  sim::Machine heap(cfg);
   sim::Machine ref(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
+  engine_test::force_heap(heap);
   ref.set_engine(sim::Machine::Engine::kReference);
-  const auto a = cal.scatter_banks(banks);
+  const auto a = heap.scatter_banks(banks);
   const auto b = ref.scatter_banks(banks);
   EXPECT_EQ(a.breakdown.total(), a.cycles);
   EXPECT_EQ(a.breakdown, b.breakdown);

@@ -1,10 +1,11 @@
-// Differential tests for the event engines: the calendar-queue
-// scheduler AND the adaptive selector (kAuto, the default) must produce
-// BIT-IDENTICAL results to the reference priority_queue loop —
-// BulkResult field for field, RequestTiming slot for slot, trace event
-// for event — across machine features, distributions, fault scenarios
-// and slackness regimes (docs/performance.md). SoA-kernel-specific and
-// selector-log scenarios live in tests/engine_select_test.cpp.
+// Differential tests for the event engines: the binary-heap scheduled
+// loop (forced for every op) AND the adaptive selector (kAuto, the
+// default) must produce BIT-IDENTICAL results to the reference
+// priority_queue loop — BulkResult field for field, RequestTiming slot
+// for slot, trace event for event — across machine features,
+// distributions, fault scenarios and slackness regimes
+// (docs/performance.md). SoA-kernel-specific and selector-log scenarios
+// live in tests/engine_select_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -17,56 +18,12 @@
 #include "sim/machine.hpp"
 #include "workload/patterns.hpp"
 
+#include "engine_test_util.hpp"
+
 namespace dxbsp {
 namespace {
 
-void expect_same_bulk(const sim::BulkResult& a, const sim::BulkResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.n, b.n);
-  EXPECT_EQ(a.max_bank_load, b.max_bank_load);
-  EXPECT_EQ(a.max_proc_requests, b.max_proc_requests);
-  EXPECT_EQ(a.last_issue, b.last_issue);
-  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
-  EXPECT_EQ(a.port_conflicts, b.port_conflicts);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
-  EXPECT_EQ(a.max_proc_miss, b.max_proc_miss);
-  EXPECT_EQ(a.combined, b.combined);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.nacks, b.nacks);
-  EXPECT_EQ(a.failovers, b.failovers);
-  EXPECT_EQ(a.degraded_cycles, b.degraded_cycles);
-  EXPECT_EQ(a.max_location_contention, b.max_location_contention);
-  EXPECT_DOUBLE_EQ(a.bank_utilization, b.bank_utilization);
-  // Attribution is part of the bit-identical contract: same critical
-  // event, same decomposition, same bank-load distribution.
-  EXPECT_EQ(a.breakdown, b.breakdown);
-  EXPECT_EQ(a.bank_sketch, b.bank_sketch);
-}
-
-void expect_same_timing(const sim::Machine::RequestTiming& a,
-                        const sim::Machine::RequestTiming& b) {
-  EXPECT_EQ(a.issue, b.issue);
-  EXPECT_EQ(a.arrival, b.arrival);
-  EXPECT_EQ(a.start, b.start);
-  EXPECT_EQ(a.completion, b.completion);
-  EXPECT_EQ(a.bank, b.bank);
-}
-
-void expect_same_trace(const obs::TraceRing& a, const obs::TraceRing& b) {
-  const auto ea = a.drain();
-  const auto eb = b.drain();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].ts, eb[i].ts) << "event " << i;
-    EXPECT_EQ(ea[i].dur, eb[i].dur) << "event " << i;
-    EXPECT_EQ(ea[i].a, eb[i].a) << "event " << i;
-    EXPECT_EQ(ea[i].b, eb[i].b) << "event " << i;
-    EXPECT_EQ(ea[i].kind, eb[i].kind) << "event " << i;
-  }
-}
+using namespace engine_test;
 
 /// Runs the same workload on all three engine modes of
 /// otherwise-identical machines and asserts byte-identical outputs
@@ -79,40 +36,40 @@ void check_equivalent(sim::MachineConfig cfg,
                       const std::vector<std::uint64_t>& addrs,
                       std::shared_ptr<const fault::FaultPlan> plan = nullptr,
                       bool with_timing = true) {
-  sim::Machine cal(cfg);
+  sim::Machine heap(cfg);
   sim::Machine ref(cfg);
   sim::Machine aut(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
+  force_heap(heap);
   ref.set_engine(sim::Machine::Engine::kReference);
   aut.set_engine(sim::Machine::Engine::kAuto);
   if (plan) {
-    cal.inject(plan);
+    heap.inject(plan);
     ref.inject(plan);
     aut.inject(plan);
   }
 
   for (int round = 0; round < 2; ++round) {
-    obs::TraceRing ring_cal(1 << 18);
+    obs::TraceRing ring_heap(1 << 18);
     obs::TraceRing ring_ref(1 << 18);
     obs::TraceRing ring_aut(1 << 18);
-    cal.set_tracer(&ring_cal);
+    heap.set_tracer(&ring_heap);
     ref.set_tracer(&ring_ref);
     aut.set_tracer(&ring_aut);
 
-    const auto out_cal = cal.scatter_faulty(addrs);
+    const auto out_heap = heap.scatter_faulty(addrs);
     const auto out_ref = ref.scatter_faulty(addrs);
     const auto out_aut = aut.scatter_faulty(addrs);
-    expect_same_bulk(out_cal.bulk, out_ref.bulk);
+    expect_same_bulk(out_heap.bulk, out_ref.bulk);
     expect_same_bulk(out_aut.bulk, out_ref.bulk);
-    ASSERT_EQ(out_cal.degraded.has_value(), out_ref.degraded.has_value());
+    ASSERT_EQ(out_heap.degraded.has_value(), out_ref.degraded.has_value());
     ASSERT_EQ(out_aut.degraded.has_value(), out_ref.degraded.has_value());
-    if (out_cal.degraded) {
-      EXPECT_EQ(out_cal.degraded->failed_requests,
+    if (out_heap.degraded) {
+      EXPECT_EQ(out_heap.degraded->failed_requests,
                 out_ref.degraded->failed_requests);
-      EXPECT_EQ(out_cal.degraded->first_failed_element,
+      EXPECT_EQ(out_heap.degraded->first_failed_element,
                 out_ref.degraded->first_failed_element);
-      EXPECT_EQ(out_cal.degraded->attempts, out_ref.degraded->attempts);
-      EXPECT_EQ(out_cal.degraded->reason, out_ref.degraded->reason);
+      EXPECT_EQ(out_heap.degraded->attempts, out_ref.degraded->attempts);
+      EXPECT_EQ(out_heap.degraded->reason, out_ref.degraded->reason);
       EXPECT_EQ(out_aut.degraded->failed_requests,
                 out_ref.degraded->failed_requests);
       EXPECT_EQ(out_aut.degraded->first_failed_element,
@@ -120,32 +77,32 @@ void check_equivalent(sim::MachineConfig cfg,
       EXPECT_EQ(out_aut.degraded->attempts, out_ref.degraded->attempts);
       EXPECT_EQ(out_aut.degraded->reason, out_ref.degraded->reason);
     }
-    expect_same_trace(ring_cal, ring_ref);
+    expect_same_trace(ring_heap, ring_ref);
     expect_same_trace(ring_aut, ring_ref);
 
-    if (with_timing && !out_cal.degraded) {
-      sim::Machine::RequestTiming t_cal, t_ref, t_aut;
-      const auto d_cal = cal.scatter_detailed(addrs, t_cal);
+    if (with_timing && !out_heap.degraded) {
+      sim::Machine::RequestTiming t_heap, t_ref, t_aut;
+      const auto d_heap = heap.scatter_detailed(addrs, t_heap);
       const auto d_ref = ref.scatter_detailed(addrs, t_ref);
       const auto d_aut = aut.scatter_detailed(addrs, t_aut);
-      expect_same_bulk(d_cal, d_ref);
+      expect_same_bulk(d_heap, d_ref);
       expect_same_bulk(d_aut, d_ref);
-      expect_same_timing(t_cal, t_ref);
+      expect_same_timing(t_heap, t_ref);
       expect_same_timing(t_aut, t_ref);
     } else if (with_timing) {
       // Degraded runs throw from scatter_detailed but must still leave
       // identical timing records (kUnserved in the failed slots).
-      sim::Machine::RequestTiming t_cal, t_ref, t_aut;
-      EXPECT_THROW((void)cal.scatter_detailed(addrs, t_cal),
+      sim::Machine::RequestTiming t_heap, t_ref, t_aut;
+      EXPECT_THROW((void)heap.scatter_detailed(addrs, t_heap),
                    fault::DegradedError);
       EXPECT_THROW((void)ref.scatter_detailed(addrs, t_ref),
                    fault::DegradedError);
       EXPECT_THROW((void)aut.scatter_detailed(addrs, t_aut),
                    fault::DegradedError);
-      expect_same_timing(t_cal, t_ref);
+      expect_same_timing(t_heap, t_ref);
       expect_same_timing(t_aut, t_ref);
     }
-    cal.set_tracer(nullptr);
+    heap.set_tracer(nullptr);
     ref.set_tracer(nullptr);
     aut.set_tracer(nullptr);
   }
@@ -165,7 +122,7 @@ std::shared_ptr<const fault::FaultPlan> drop_plan(std::uint64_t banks,
   fc.drop_rate = drop;
   fc.retry.max_retries = max_retries;
   fc.retry.backoff_base = 16;
-  fc.retry.backoff_cap = 8192;  // beyond the wheel: exercises overflow
+  fc.retry.backoff_cap = 8192;  // retries land far beyond the issue front
   fc.retry.jitter = 8;
   return std::make_shared<fault::FaultPlan>(fc, banks);
 }
@@ -197,7 +154,7 @@ TEST(EngineEquivalence, UnevenTailRequestCount) {
 
 TEST(EngineEquivalence, HotSpotTrafficTightSlackness) {
   // A hot location plus S smaller than the per-processor count: the
-  // completion-window gate binds, forcing the general calendar path
+  // completion-window gate binds, forcing the general scheduled path
   // (stalls, non-monotone heads) instead of the dense one.
   auto addrs = workload::k_hot(8000, 2000, 1 << 20, 3);
   for (auto dist : {sim::Distribution::kBlock, sim::Distribution::kCyclic}) {
@@ -259,14 +216,14 @@ TEST(EngineEquivalence, CacheTierScratchpad) {
 
   const auto addrs = workload::k_hot(6000, 3000, 1 << 13, 9);
   const auto pinned = cache::hot_lines(addrs, cfg.cache.line_words, 8);
-  sim::Machine cal(cfg);
+  sim::Machine heap(cfg);
   sim::Machine ref(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
+  force_heap(heap);
   ref.set_engine(sim::Machine::Engine::kReference);
-  cal.pin_scratchpad(pinned);
+  heap.pin_scratchpad(pinned);
   ref.pin_scratchpad(pinned);
   for (int round = 0; round < 2; ++round)
-    expect_same_bulk(cal.scatter(addrs), ref.scatter(addrs));
+    expect_same_bulk(heap.scatter(addrs), ref.scatter(addrs));
 }
 
 TEST(EngineEquivalence, CacheTierWithFaults) {
@@ -279,7 +236,7 @@ TEST(EngineEquivalence, CacheTierWithFaults) {
 
 TEST(EngineEquivalence, CacheTierTightSlackness) {
   // Window gate binding + cache hits completing ahead of misses: the
-  // general calendar path with the tier in front.
+  // general scheduled path with the tier in front.
   auto cfg = base_config(sim::Distribution::kCyclic);
   cfg.slackness = 16;
   cfg.cache.capacity = 64;
@@ -308,11 +265,28 @@ TEST(EngineEquivalence, ButterflyNetwork) {
 }
 
 TEST(EngineEquivalence, FaultyDropsWithRetries) {
-  // Recoverable drops: retry backoffs land far ahead of the wheel
-  // horizon, exercising the calendar queue's overflow heap.
+  // Recoverable drops: retry backoffs land far in the future, mixing
+  // far-off retries with the per-processor issue events in the heap.
   auto cfg = base_config(sim::Distribution::kBlock);
   check_equivalent(cfg, workload::uniform_random(8000, 1 << 18, 23),
                    drop_plan(cfg.banks(), 0.05, 8));
+}
+
+TEST(EngineEquivalence, FaultyRetryTiesFollowTheEventOrder) {
+  // A flat one-cycle backoff with no jitter and heavy drops: a
+  // processor's retries of different attempts and elements, and its
+  // next fresh issue, keep landing on the same cycle, so the pop order
+  // rests on the (proc, attempt, elem) tiebreaks.
+  auto cfg = base_config(sim::Distribution::kCyclic);
+  fault::FaultConfig fc;
+  fc.seed = 13;
+  fc.drop_rate = 0.5;
+  fc.retry.max_retries = 8;
+  fc.retry.backoff_base = 1;
+  fc.retry.backoff_cap = 1;
+  fc.retry.jitter = 0;
+  check_equivalent(cfg, workload::uniform_random(4000, 1 << 18, 37),
+                   std::make_shared<fault::FaultPlan>(fc, cfg.banks()));
 }
 
 TEST(EngineEquivalence, FaultyExhaustedBudgetDegrades) {
@@ -332,20 +306,20 @@ TEST(EngineEquivalence, FaultyChaosSlowDeadAndDrops) {
 
 TEST(EngineEquivalence, ScatterBanksPath) {
   // Bank ids supplied directly (mapping bypassed, serve() not
-  // serve_addr()); also covers the calendar engine's id validation.
+  // serve_addr()); also covers the batched-route engine's id validation.
   auto cfg = base_config(sim::Distribution::kBlock);
   std::vector<std::uint64_t> banks(5000);
   for (std::size_t i = 0; i < banks.size(); ++i)
     banks[i] = (i * 7 + i / 13) % cfg.banks();
 
-  sim::Machine cal(cfg);
+  sim::Machine heap(cfg);
   sim::Machine ref(cfg);
-  cal.set_engine(sim::Machine::Engine::kCalendar);
+  force_heap(heap);
   ref.set_engine(sim::Machine::Engine::kReference);
-  expect_same_bulk(cal.scatter_banks(banks), ref.scatter_banks(banks));
+  expect_same_bulk(heap.scatter_banks(banks), ref.scatter_banks(banks));
 
   banks[123] = cfg.banks();  // out of range: both engines must reject
-  EXPECT_THROW((void)cal.scatter_banks(banks), dxbsp::Error);
+  EXPECT_THROW((void)heap.scatter_banks(banks), dxbsp::Error);
   EXPECT_THROW((void)ref.scatter_banks(banks), dxbsp::Error);
 }
 
@@ -362,13 +336,8 @@ TEST(EngineEquivalence, GapAndLatencyVariants) {
 }
 
 TEST(EngineEquivalence, DefaultEngineIsAuto) {
-#ifdef DXBSP_REFERENCE_ENGINE
-  sim::Machine m(sim::MachineConfig::test_machine());
-  EXPECT_EQ(m.engine(), sim::Machine::Engine::kReference);
-#else
   sim::Machine m(sim::MachineConfig::test_machine());
   EXPECT_EQ(m.engine(), sim::Machine::Engine::kAuto);
-#endif
 }
 
 }  // namespace

@@ -21,25 +21,12 @@
 #include "sim/machine.hpp"
 #include "workload/patterns.hpp"
 
+#include "engine_test_util.hpp"
+
 namespace dxbsp {
 namespace {
 
-void expect_same_bulk(const sim::BulkResult& a, const sim::BulkResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.n, b.n);
-  EXPECT_EQ(a.max_bank_load, b.max_bank_load);
-  EXPECT_EQ(a.max_proc_requests, b.max_proc_requests);
-  EXPECT_EQ(a.last_issue, b.last_issue);
-  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
-  EXPECT_EQ(a.port_conflicts, b.port_conflicts);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.combined, b.combined);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_DOUBLE_EQ(a.bank_utilization, b.bank_utilization);
-  EXPECT_EQ(a.breakdown, b.breakdown);
-  EXPECT_EQ(a.bank_sketch, b.bank_sketch);
-}
+using namespace engine_test;
 
 sim::MachineConfig base_config(sim::Distribution dist) {
   auto cfg = sim::MachineConfig::test_machine();  // p=4, d=4, L=8, x=4
@@ -177,6 +164,39 @@ TEST(EngineSelect, FaultyDropRetryMatchesReference) {
   EXPECT_NE(row.choice, obs::EngineChoice::kDense);
 }
 
+TEST(EngineSelect, ScheduledShapesAlwaysPickHeap) {
+  // Large-window shapes (p·window > 4096) still hold only about p live
+  // events — one pending issue per processor plus retries — so the heap
+  // is the scheduler for every op that is not dense-eligible.
+  //
+  // j90-shaped, window binding: S = 1024 < h_proc = 2048, p·window =
+  // 8192.
+  auto j90 = sim::MachineConfig::cray_j90();
+  j90.slackness = 1024;
+  const auto windowed = check_auto_vs_reference(
+      j90, workload::k_hot(8 * 2048, 2048, 1 << 20, 5));
+  EXPECT_FALSE(windowed.eligible_dense);
+  EXPECT_EQ(windowed.choice, obs::EngineChoice::kHeap);
+  EXPECT_FALSE(windowed.fallback);
+  EXPECT_FALSE(windowed.forced);
+
+  // Faulty: p = 4, window = h_proc = 2000, p·window = 8000.
+  auto cfg = base_config(sim::Distribution::kCyclic);
+  fault::FaultConfig fc;
+  fc.seed = 19;
+  fc.drop_rate = 0.05;
+  fc.retry.max_retries = 8;
+  fc.retry.backoff_base = 16;
+  fc.retry.backoff_cap = 8192;
+  const auto plan = std::make_shared<fault::FaultPlan>(fc, cfg.banks());
+  const auto faulty = check_auto_vs_reference(
+      cfg, workload::uniform_random(8000, 1 << 18, 31), plan);
+  EXPECT_EQ(faulty.window * cfg.processors, 8000u);
+  EXPECT_EQ(faulty.choice, obs::EngineChoice::kHeap);
+  EXPECT_FALSE(faulty.fallback);
+  EXPECT_FALSE(faulty.forced);
+}
+
 TEST(EngineSelect, AttributionIdentityHoldsOnSoaPath) {
   // The cost decomposition must sum exactly to the makespan on the SoA
   // kernel's single-latch attribution, same as on the event engines.
@@ -274,13 +294,14 @@ TEST(EngineSelect, ForcedDenseUnderFaultsFallsBackToHeap) {
 TEST(EngineSelect, PinnedEngineRowsAreMarkedForced) {
   obs::SelectorLog log;
   sim::Machine m(base_config(sim::Distribution::kBlock));
-  m.set_engine(sim::Machine::Engine::kCalendar);
+  m.set_engine(sim::Machine::Engine::kReference);
   m.set_selector(&log);
   (void)m.scatter(workload::uniform_random(4000, 1 << 18, 17));
   const auto rows = log.snapshot().rows;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_TRUE(rows[0].forced);
-  EXPECT_NE(rows[0].choice, obs::EngineChoice::kSoA);
+  EXPECT_FALSE(rows[0].fallback);
+  EXPECT_EQ(rows[0].choice, obs::EngineChoice::kReference);
 }
 
 /// Renders just the report for a selector log (no tracer/attribution/

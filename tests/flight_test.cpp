@@ -17,6 +17,7 @@
 
 #include "obs/event_log.hpp"
 #include "obs/flight.hpp"
+#include "obs/selector.hpp"
 #include "obs/json_read.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -160,6 +161,12 @@ TEST(Flight, ReaderRejectsGarbageStructurally) {
   write_raw(path + ".version", bad);
   EXPECT_EQ(code_of(obs::flight_read(path + ".version")),
             ErrorCode::kCorruptInput);
+  // A version-1 ring numbers EngineChoice differently; it is refused.
+  bad = whole;
+  bad[8] = 1;
+  write_raw(path + ".v1", bad);
+  EXPECT_EQ(code_of(obs::flight_read(path + ".v1")),
+            ErrorCode::kCorruptInput);
 }
 
 TEST(Flight, DescribeNamesPhasesAndKinds) {
@@ -176,6 +183,17 @@ TEST(Flight, DescribeNamesPhasesAndKinds) {
   EXPECT_EQ(obs::flight_record_name(r), "chaos");
   r.kind = FlightKind::kNote;
   EXPECT_EQ(obs::flight_kind_name(r.kind), std::string("note"));
+
+  // Selector records name the engine by its wire code; a code at or past
+  // kEngineChoices decodes as unknown instead of being cast.
+  r.kind = FlightKind::kSelector;
+  r.sub = static_cast<std::uint8_t>(obs::EngineChoice::kHeap);
+  EXPECT_EQ(obs::flight_record_name(r), "heap");
+  r.sub = static_cast<std::uint8_t>(obs::kEngineChoices - 1);
+  EXPECT_EQ(obs::flight_record_name(r), "soa");
+  r.sub = static_cast<std::uint8_t>(obs::kEngineChoices);
+  EXPECT_EQ(obs::flight_record_name(r), "?");
+  EXPECT_EQ(obs::flight_describe(r).rfind("selector ?", 0), 0u);
 }
 
 // ------------------------------------------------------------- event log

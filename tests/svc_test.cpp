@@ -14,6 +14,7 @@
 
 #include "obs/attribution.hpp"
 #include "obs/drift.hpp"
+#include "obs/selector.hpp"
 #include "resilience/error.hpp"
 #include "resilience/shard.hpp"
 #include "resilience/snapshot.hpp"
@@ -350,6 +351,40 @@ TEST(Payload, AggregatesRoundTripIncludingHistogramsAndDrift) {
       svc::kMsgAggregates, svc::encode_aggregates(no_drift),
       svc::decode_aggregates);
   EXPECT_FALSE(r2.has_drift);
+}
+
+TEST(Payload, SelectorChoiceCodesRoundTripAndRejectOutOfRange) {
+  // Every engine-choice wire code round-trips; the first code past the
+  // last engine (kEngineChoices) is corrupt input, never cast to an
+  // EngineChoice.
+  auto m = sample_aggregates();
+  for (std::size_t c = 0; c < obs::kEngineChoices; ++c) {
+    obs::SelectorRow row;
+    row.track = 2;
+    row.step = c;
+    row.choice = static_cast<obs::EngineChoice>(c);
+    m.selector.push_back(row);
+  }
+  const auto r = reencode<svc::AggregatesMsg>(
+      svc::kMsgAggregates, svc::encode_aggregates(m), svc::decode_aggregates);
+  EXPECT_EQ(r.selector, m.selector);
+
+  auto bad = m;
+  bad.selector.resize(1);
+  std::string json = svc::encode_aggregates(bad);
+  const std::size_t key = json.find("\"choice\"");
+  ASSERT_NE(key, std::string::npos);
+  const std::size_t digit = json.find_first_of("0123456789", key);
+  ASSERT_NE(digit, std::string::npos);
+  json.replace(digit, 1, std::to_string(obs::kEngineChoices));
+  const auto msg =
+      svc::wire_parse(svc::wire_frame(svc::kMsgAggregates, json), "t");
+  ASSERT_TRUE(msg.ok());
+  const auto decoded = svc::decode_aggregates(msg.value().payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kCorruptInput);
+  EXPECT_NE(std::string(decoded.error().what()).find("choice out of range"),
+            std::string::npos);
 }
 
 TEST(Payload, ResultRoundTrips) {

@@ -9,12 +9,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include <queue>
 #include <unordered_map>
 
 #include "resilience/error.hpp"
 #include "util/bits.hpp"
-#include "util/calendar_queue.hpp"
 #include "util/cli.hpp"
 #include "util/flat_map.hpp"
 #include "util/multiplicity.hpp"
@@ -406,94 +404,6 @@ TEST(ThreadPool, ParallelForPropagatesFirstExceptionAfterCompletion) {
   std::size_t ran = 0;
   for (std::size_t i = 0; i < n; ++i) ran += hits[i].load();
   EXPECT_EQ(ran, n - 2);
-}
-
-// ---- CalendarQueue ----
-
-namespace {
-
-struct QEvent {
-  std::uint64_t key = 0;
-  std::uint64_t tag = 0;
-  friend bool operator>(const QEvent& a, const QEvent& b) {
-    if (a.key != b.key) return a.key > b.key;
-    return a.tag > b.tag;
-  }
-  friend bool operator==(const QEvent& a, const QEvent& b) {
-    return a.key == b.key && a.tag == b.tag;
-  }
-};
-
-struct QEventKey {
-  std::uint64_t operator()(const QEvent& e) const noexcept { return e.key; }
-};
-
-}  // namespace
-
-TEST(CalendarQueue, PopsInPriorityQueueOrder) {
-  // Differential check against std::priority_queue with an interleaved
-  // push/pop schedule: keys cluster near the current time (wheel hits)
-  // with occasional far-future jumps (overflow heap) and heavy ties
-  // (intra-bucket comparator order).
-  util::CalendarQueue<QEvent, QEventKey> cq(256);
-  std::priority_queue<QEvent, std::vector<QEvent>, std::greater<>> pq;
-  util::SplitMix64 rng(2024);
-
-  std::uint64_t now = 0;
-  std::uint64_t tag = 0;
-  for (int round = 0; round < 5000; ++round) {
-    const std::uint64_t n_push = rng() % 4;
-    for (std::uint64_t i = 0; i < n_push; ++i) {
-      std::uint64_t key = now + rng() % 16;  // dense, many ties
-      if (rng() % 16 == 0) key = now + 200 + rng() % 5000;  // far future
-      const QEvent ev{key, tag++};
-      cq.push(ev);
-      pq.push(ev);
-    }
-    const std::uint64_t n_pop = rng() % 4;
-    for (std::uint64_t i = 0; i < n_pop && !pq.empty(); ++i) {
-      const QEvent expect = pq.top();
-      pq.pop();
-      ASSERT_FALSE(cq.empty());
-      const QEvent got = cq.pop();
-      ASSERT_EQ(got, expect) << "round " << round;
-      now = expect.key;  // keys only move forward, like simulated time
-    }
-    ASSERT_EQ(cq.size(), pq.size());
-  }
-  while (!pq.empty()) {
-    const QEvent expect = pq.top();
-    pq.pop();
-    ASSERT_EQ(cq.pop(), expect);
-  }
-  EXPECT_TRUE(cq.empty());
-}
-
-TEST(CalendarQueue, OverflowEventsMergeBackIntoTheWheel) {
-  util::CalendarQueue<QEvent, QEventKey> cq(64);
-  EXPECT_EQ(cq.bucket_count(), 64u);
-  cq.push({5, 0});
-  cq.push({1000, 1});  // beyond the 64-cycle horizon
-  cq.push({5, 2});
-  EXPECT_EQ(cq.overflow_size(), 1u);
-  EXPECT_EQ(cq.pop(), (QEvent{5, 0}));
-  EXPECT_EQ(cq.pop(), (QEvent{5, 2}));
-  // Far event pops from the overflow heap in order.
-  EXPECT_EQ(cq.pop(), (QEvent{1000, 1}));
-  EXPECT_TRUE(cq.empty());
-  EXPECT_EQ(cq.now(), 1000u);
-}
-
-TEST(CalendarQueue, ResetRewindsTimeAndKeepsWorking) {
-  util::CalendarQueue<QEvent, QEventKey> cq(64);
-  cq.push({10, 0});
-  cq.push({500, 1});
-  (void)cq.pop();
-  cq.reset();
-  EXPECT_TRUE(cq.empty());
-  EXPECT_EQ(cq.now(), 0u);
-  cq.push({3, 7});  // would precede the pre-reset time
-  EXPECT_EQ(cq.pop(), (QEvent{3, 7}));
 }
 
 // ---- FlatMap64 ----
