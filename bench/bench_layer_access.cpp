@@ -5,10 +5,12 @@
 // op: generating the trace (k_hot, multi_hot, zipf), counting location
 // contention k (analyze_locations), routing to banks for h_bank
 // (analyze_banks, per mapping), and grading key entropy
-// (shannon_entropy). Each runs at n = 2^15 (a hostbench paper_sweep op)
-// and n = 2^20 (the figure benches' default). Reported as items/s;
-// there is no gate on these numbers — the end-to-end benchmark is
-// hostbench.
+// (shannon_entropy). Behind them, the simulator layer: Machine::scatter
+// pinned to the SoA chain kernel, and one algos::Vm::gather (route,
+// profile, simulate and predict in one op). Each runs at n = 2^15 (a
+// hostbench paper_sweep op) and n = 2^20 (the figure benches' default).
+// Reported as items/s; there is no gate on these numbers — the
+// end-to-end benchmark is hostbench.
 
 #include <benchmark/benchmark.h>
 
@@ -17,8 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "algos/vm.hpp"
 #include "mem/bank_mapping.hpp"
 #include "mem/contention.hpp"
+#include "sim/machine.hpp"
 #include "stats/histogram.hpp"
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
@@ -103,6 +107,36 @@ void bm_zipf(benchmark::State& state, double theta) {
   set_items(state);
 }
 
+/// Machine::scatter forced onto the SoA kernel: the J90 with its window
+/// widened to n so every op is SoA-eligible (no observers attached).
+void bm_scatter_soa(benchmark::State& state) {
+  const auto addrs = trace_for(state);
+  auto cfg = dxbsp::sim::MachineConfig::cray_j90();
+  cfg.slackness = addrs.size();
+  dxbsp::sim::Machine machine(cfg);
+  machine.selector().force(dxbsp::obs::EngineChoice::kSoA);
+  for (auto _ : state) {
+    const auto res = machine.scatter(addrs);
+    benchmark::DoNotOptimize(res.cycles);
+  }
+  set_items(state);
+}
+
+/// One Vm::gather of n uniform indices into an n-word array on the J90.
+void bm_vm_gather(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  dxbsp::algos::Vm vm(dxbsp::sim::MachineConfig::cray_j90());
+  const auto src = vm.make_array<std::uint64_t>(n, 1);
+  const auto idx = workload::uniform_random(n, n, 1995);
+  std::vector<std::uint64_t> out;
+  for (auto _ : state) {
+    vm.gather(out, src, idx, "gather");
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  set_items(state);
+}
+
 void sizes(benchmark::internal::Benchmark* b) {
   b->Arg(1 << 15)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
 }
@@ -114,6 +148,8 @@ void register_all() {
     sizes(benchmark::RegisterBenchmark(
         (std::string("analyze_banks/") + m).c_str(), bm_analyze_banks, m));
   sizes(benchmark::RegisterBenchmark("shannon_entropy", bm_shannon_entropy));
+  sizes(benchmark::RegisterBenchmark("sim/scatter_soa", bm_scatter_soa));
+  sizes(benchmark::RegisterBenchmark("vm/gather", bm_vm_gather));
   sizes(benchmark::RegisterBenchmark("gen/k_hot", bm_k_hot));
   sizes(benchmark::RegisterBenchmark("gen/multi_hot", bm_multi_hot));
   for (const double theta : {0.0, 0.8, 1.0})
@@ -126,8 +162,8 @@ void register_all() {
 
 int main(int argc, char** argv) {
   std::printf("=== Layer microbench: host-side access analysis ===\n"
-              "Per-element host cost of trace generation and contention "
-              "analysis (items/s).\n\n");
+              "Per-element host cost of trace generation, contention "
+              "analysis and the simulator (items/s).\n\n");
   register_all();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -41,12 +41,18 @@ void Vm::account(std::span<const std::uint64_t> addrs,
   if (addrs.empty()) return;
   if (streams < 0.0) streams = options_.aux_streams;
   if (trace_hook_) trace_hook_(label, addrs);
-  const core::Prediction pred =
-      core::predict_scatter(addrs, params_, &machine_.mapping());
+  // One access profile per op: a simulated op's comes from the machine,
+  // which routed and counted these addresses anyway; model-only mode
+  // analyzes the trace itself.
   sim::BulkResult res;
+  core::Prediction pred;
   if (options_.simulate) {
     res = machine_.scatter(addrs);
+    pred = core::predictions_from_profile(core::profile_bulk(res, params_),
+                                          params_);
   } else {
+    pred = core::predictions_from_profile(
+        core::profile_access(addrs, params_, &machine_.mapping()), params_);
     res.n = addrs.size();
     res.cycles = pred.dxbsp_mapped;  // model-only mode
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/machine.hpp"
 #include "util/bits.hpp"
 
 namespace dxbsp::core {
@@ -23,6 +24,18 @@ AccessProfile profile_access(std::span<const std::uint64_t> addrs,
     const mem::BankLoads bl = mem::analyze_banks(addrs, *mapping);
     ap.h_bank_mapped = bl.max_load;
   }
+  return ap;
+}
+
+AccessProfile profile_bulk(const sim::BulkResult& res, const DxBspParams& m) {
+  AccessProfile ap;
+  ap.n = res.n;
+  ap.h_proc = util::ceil_div(ap.n, m.p);
+  ap.max_contention = res.max_location_contention;
+  ap.distinct = res.distinct_locations;
+  ap.h_bank_location = std::max<std::uint64_t>(
+      ap.max_contention, util::ceil_div(ap.n, m.banks()));
+  ap.h_bank_mapped = res.max_requested_bank_load;
   return ap;
 }
 

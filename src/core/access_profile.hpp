@@ -18,6 +18,10 @@
 #include "mem/bank_mapping.hpp"
 #include "mem/contention.hpp"
 
+namespace dxbsp::sim {
+struct BulkResult;
+}
+
 namespace dxbsp::core {
 
 /// Everything the model needs to know about one bulk operation.
@@ -44,6 +48,14 @@ struct AccessProfile {
 [[nodiscard]] AccessProfile profile_access(std::span<const std::uint64_t> addrs,
                                            const DxBspParams& m,
                                            const mem::BankMapping* mapping);
+
+/// The same profile read from a simulated op: sim::Machine::run builds
+/// k, the distinct count and the requested (pre-fault, pre-cache) bank
+/// load from its own route, so no second pass over the trace is needed.
+/// Equals profile_access(addrs, m, &machine.mapping()) over the op's
+/// addresses (tests/access_analysis_test.cpp).
+[[nodiscard]] AccessProfile profile_bulk(const sim::BulkResult& res,
+                                         const DxBspParams& m);
 
 /// Profile for a bulk operation described only by aggregate numbers
 /// (n requests, max location contention k) — the form used in analyses.

@@ -2,7 +2,6 @@
 
 namespace dxbsp::core {
 
-namespace {
 Prediction predictions_from_profile(const AccessProfile& ap,
                                     const DxBspParams& m) {
   Prediction pr;
@@ -13,7 +12,6 @@ Prediction predictions_from_profile(const AccessProfile& ap,
       ap.h_bank_mapped == 0 ? 0 : dxbsp_step_time(m, ap.mapped_step());
   return pr;
 }
-}  // namespace
 
 Prediction predict_scatter(std::span<const std::uint64_t> addrs,
                            const DxBspParams& m,

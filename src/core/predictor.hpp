@@ -29,6 +29,11 @@ struct Prediction {
   }
 };
 
+/// Predictions from an already-built profile: from profile_bulk when the
+/// op was simulated (algos::Vm), so the trace is analyzed once.
+[[nodiscard]] Prediction predictions_from_profile(const AccessProfile& ap,
+                                                  const DxBspParams& m);
+
 /// Predicts the time of a scatter/gather of `addrs` on machine `m`.
 /// If `mapping` is non-null the mapped (oracle) prediction is included.
 [[nodiscard]] Prediction predict_scatter(std::span<const std::uint64_t> addrs,

@@ -36,7 +36,7 @@ BankLoads analyze_banks(std::span<const std::uint64_t> addrs,
     const std::size_t len = std::min(kChunk, addrs.size() - at);
     const std::span<std::uint64_t> out(banks.data(), len);
     mapping.bank_of_batch(addrs.subspan(at, len), out);
-    for (const std::uint64_t b : out) ++bl.load[b];
+    tally_banks(out, bl.load);
   }
   for (const std::uint64_t l : bl.load) {
     bl.max_load = std::max(bl.max_load, l);
@@ -47,6 +47,11 @@ BankLoads analyze_banks(std::span<const std::uint64_t> addrs,
                      : static_cast<double>(bl.total) /
                            static_cast<double>(mapping.num_banks());
   return bl;
+}
+
+void tally_banks(std::span<const std::uint64_t> route,
+                 std::span<std::uint64_t> load) noexcept {
+  for (const std::uint64_t b : route) ++load[b];
 }
 
 std::uint64_t location_forced_max_load(std::span<const std::uint64_t> addrs,

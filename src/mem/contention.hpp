@@ -35,9 +35,16 @@ struct BankLoads {
 };
 
 /// Tallies requests per bank under `mapping`, routing through
-/// BankMapping::bank_of_batch.
+/// BankMapping::bank_of_batch and counting with tally_banks.
 [[nodiscard]] BankLoads analyze_banks(std::span<const std::uint64_t> addrs,
                                       const BankMapping& mapping);
+
+/// The one per-bank request count: ++load[b] for every bank id b in
+/// `route` (each must be < load.size()). Shared by analyze_banks and
+/// sim::Machine, so the machine's requested bank load is
+/// analyze_banks(...).max_load by construction.
+void tally_banks(std::span<const std::uint64_t> route,
+                 std::span<std::uint64_t> load) noexcept;
 
 /// Max bank load if every distinct location sat in its own bank (i.e. the
 /// load forced purely by *location* contention: the max multiplicity).

@@ -60,8 +60,9 @@ struct SnapshotRecord {
 /// six CostBreakdown terms (PR 5 attribution); version 3 with the cache
 /// tier's cache_misses / cache_evictions / max_proc_miss counters and
 /// the seventh (cache_hit) breakdown term (PR 8). The per-op
-/// BankLoadSketch is report-side only and deliberately not persisted —
-/// no bench prints it, so resumed sweeps stay byte-identical without it.
+/// BankLoadSketch, distinct_locations and max_requested_bank_load are
+/// deliberately not persisted — no bench prints them, so resumed sweeps
+/// stay byte-identical without them.
 inline constexpr std::uint64_t kSnapshotVersion = 3;
 inline constexpr std::uint64_t kRecordBytes = (3 + 4 + 18 + 1 + 7) * 8;
 inline constexpr std::uint64_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8;

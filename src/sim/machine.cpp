@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "mem/contention.hpp"
 #include "obs/drift.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/error.hpp"
@@ -314,6 +315,36 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   FailTally tally;
   attr_.begin();
 
+  // Access profile, once per op for every engine: ONE bank_of_batch
+  // pass fills the addr→bank route the batched engines read (the
+  // reference engine keeps its per-event bank_of: it is the oracle),
+  // mem::tally_banks counts the requested per-bank load, and one
+  // MultiplicityCounter pass yields k and the distinct count.
+  if (!state_) state_ = std::make_unique<EngineState>();
+  util::ScratchArena& arena = state_->arena;
+  const std::uint64_t nbanks = config_.banks();
+  const std::uint64_t* route = ids.data();
+  if (!ids_are_banks) {
+    auto& banks = arena.vec<std::uint64_t>(kRouteSlot);
+    banks.resize(ids.size());
+    mapping_->bank_of_batch(ids, banks);
+    route = banks.data();
+  } else {
+    // Caller-supplied bank ids are the only ones that can be out of
+    // range (mappings are bank-count checked at construction); validate
+    // once up front so the tally and the hot loops index unchecked.
+    for (const std::uint64_t b : ids)
+      if (b >= nbanks)
+        raise(ErrorCode::kConfig, "Machine: bank id out of range");
+  }
+  std::uint64_t* cnt = util::soa_plane(arena, kCntSlot, nbanks);
+  std::fill(cnt, cnt + nbanks, 0);
+  mem::tally_banks({route, ids.size()}, {cnt, nbanks});
+  res.max_requested_bank_load = *std::max_element(cnt, cnt + nbanks);
+  const util::Multiplicity located = contention_.count(ids);
+  res.max_location_contention = located.max;
+  res.distinct_locations = located.distinct;
+
   // Adaptive dispatch (docs/performance.md §selector): classify the op
   // from O(1) pre-dispatch features, honor a pinned engine, and demote
   // an ineligible choice to the nearest exact strategy.
@@ -361,7 +392,8 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   const std::uint64_t makespan =
       choice == obs::EngineChoice::kReference
           ? run_reference(ids, ids_are_banks, timing, res, tally)
-          : run_batched(ids, ids_are_banks, timing, res, tally, choice);
+          : run_batched(ids, ids_are_banks, route, cnt, timing, res, tally,
+                        choice);
 
   if (res.completed + tally.failed != res.n)
     raise(ErrorCode::kInternal, "Machine: request conservation violated");
@@ -388,13 +420,10 @@ FaultyBulk Machine::run(std::span<const std::uint64_t> ids,
   res.bank_utilization = bank_utilization_of(config_.bank_delay, res.n,
                                              config_.banks(), res.cycles);
 
-  // Attribution (docs/observability.md): location contention k over the
-  // requested ids (addresses; bank ids for scatter_banks), the per-bank
-  // load distribution (served requests only — loads() never counts a
-  // NACK-failed or combined slot), and the critical-event cost
-  // decomposition, whose terms must reproduce the makespan exactly.
-  res.max_location_contention =
-      std::max(res.max_location_contention, contention_.max_multiplicity(ids));
+  // Attribution (docs/observability.md): the per-bank load distribution
+  // (served requests only — loads() never counts a NACK-failed or
+  // combined slot) and the critical-event cost decomposition, whose
+  // terms must reproduce the makespan exactly.
   for (const std::uint64_t load : banks_.loads())
     res.bank_sketch.observe(load);
   res.breakdown = attr_.breakdown();
@@ -682,8 +711,9 @@ std::uint64_t Machine::run_reference(std::span<const std::uint64_t> ids,
 
 std::uint64_t Machine::run_batched(std::span<const std::uint64_t> ids,
                                    bool ids_are_banks,
-                                   RequestTiming* timing, BulkResult& res,
-                                   FailTally& tally,
+                                   const std::uint64_t* route,
+                                   std::uint64_t* cnt, RequestTiming* timing,
+                                   BulkResult& res, FailTally& tally,
                                    obs::EngineChoice choice) {
   const fault::FaultPlan* plan = plan_.get();
   const std::uint64_t p = config_.processors;
@@ -704,7 +734,6 @@ std::uint64_t Machine::run_batched(std::span<const std::uint64_t> ids,
     return proc < n % p ? n / p + 1 : n / p;
   };
 
-  if (!state_) state_ = std::make_unique<EngineState>();
   EngineState& st = *state_;
 
   // Cache tier, mirroring run_reference: fresh issues only, addresses
@@ -715,24 +744,6 @@ std::uint64_t Machine::run_batched(std::span<const std::uint64_t> ids,
   const bool write_through =
       config_.cache.write == cache::WritePolicy::kThrough &&
       config_.cache.mode == cache::Mode::kCache;
-
-  // Batched bank routing: ONE virtual dispatch per bulk op fills the
-  // whole addr→bank route, replacing the per-event mapping_->bank_of
-  // call of the reference engine. scatter_banks traffic routes itself.
-  const std::uint64_t* route = ids.data();
-  if (!ids_are_banks) {
-    auto& banks = st.arena.vec<std::uint64_t>(kRouteSlot);
-    banks.resize(n);
-    mapping_->bank_of_batch(ids, banks);
-    route = banks.data();
-  } else {
-    // Caller-supplied bank ids are the only ones that can be out of
-    // range (mappings are bank-count checked at construction); validate
-    // once up front so the hot loop indexes unchecked.
-    for (std::size_t i = 0; i < n; ++i)
-      if (ids[i] >= config_.banks())
-        raise(ErrorCode::kConfig, "Machine: bank id out of range");
-  }
 
   auto& procs = st.arena.vec<ProcFlat>();
   procs.assign(p, ProcFlat{});
@@ -768,7 +779,7 @@ std::uint64_t Machine::run_batched(std::span<const std::uint64_t> ids,
   const std::uint64_t g = config_.gap;
 
   if (choice == obs::EngineChoice::kSoA)
-    return run_soa(ids, ids_are_banks, route, res, max_count);
+    return run_soa(ids, ids_are_banks, route, cnt, res, max_count);
 
   if (choice == obs::EngineChoice::kDense) {
     // Dense fast path. With no fault plan there are no retries, and with
@@ -1034,8 +1045,8 @@ std::uint64_t Machine::run_batched(std::span<const std::uint64_t> ids,
 
 std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
                                bool ids_are_banks,
-                               const std::uint64_t* route, BulkResult& res,
-                               std::uint64_t max_count) {
+                               const std::uint64_t* route, std::uint64_t* cnt,
+                               BulkResult& res, std::uint64_t max_count) {
   // SoA batched kernel (docs/performance.md §soa). Eligibility, checked
   // by run(): no fault plan, window never binds, ideal network, no cache
   // tier, no tracer, no per-request timing. Under those conditions
@@ -1107,13 +1118,10 @@ std::uint64_t Machine::run_soa(std::span<const std::uint64_t> ids,
     return makespan;
   }
 
-  // Batchable banks: per-bank counts first (order-independent, so plain
-  // element order works for both distributions); they feed BankArray's
-  // load counters on the fused path and the bucket offsets on the
-  // bucketed one.
-  std::uint64_t* cnt = util::soa_plane(arena, kCntSlot, nbanks);
-  std::fill(cnt, cnt + nbanks, 0);
-  for (std::size_t i = 0; i < n; ++i) ++cnt[route[i]];
+  // Batchable banks: run()'s per-bank requested counts (no faults or
+  // caches here, so every request is served) feed BankArray's load
+  // counters on the fused path and the bucket offsets on the bucketed
+  // one.
 
   std::uint64_t best = 0;       // critical completion time
   std::uint64_t best_elem = 0;  // its element id
@@ -1272,11 +1280,15 @@ BulkResult Machine::scatter_bulk_delivery(
   res.max_proc_requests = per;
   res.bank_utilization = bank_utilization_of(config_.bank_delay, res.n,
                                              config_.banks(), res.cycles);
+  // Plain serve(): no faults, combining or caching, so the requested
+  // per-bank load is the served one.
+  const util::Multiplicity located = contention_.count(addrs);
+  res.max_location_contention = located.max;
+  res.distinct_locations = located.distinct;
+  res.max_requested_bank_load = res.max_bank_load;
   // Attribution of the ablation: no issue pipeline, so the critical
   // request's lifetime is exactly wire-out + bank queue/service +
   // wire-back (makespan >= 2L holds because every request arrives at L).
-  res.max_location_contention = std::max(res.max_location_contention,
-                                         contention_.max_multiplicity(addrs));
   for (const std::uint64_t load : banks_.loads())
     res.bank_sketch.observe(load);
   res.breakdown.latency = 2 * config_.latency;

@@ -69,9 +69,19 @@ struct BulkResult {
   std::uint64_t failovers = 0;       ///< requests redirected off a dead bank
   std::uint64_t degraded_cycles = 0; ///< extra bank busy cycles from slowness
 
+  // Access profile of the requested ids (addresses; bank ids for
+  // scatter_banks), built once per op by Machine::run on every engine:
+  // the (d,x)-BSP predictor's inputs (core::profile_bulk).
+
   /// Location contention k: requests aimed at the hottest single address
   /// (hottest bank for scatter_banks) — the paper's k in the d·k bound.
   std::uint64_t max_location_contention = 0;
+  /// Distinct locations requested (same count as k).
+  std::uint64_t distinct_locations = 0;
+  /// Most requests the mapping routes to any one bank, counted before
+  /// faults, failover, combining or caching: analyze_banks(...).max_load
+  /// over the same ids. Not max_bank_load, which counts served requests.
+  std::uint64_t max_requested_bank_load = 0;
 
   /// Fraction of bank service capacity used: d·n / (B · cycles).
   double bank_utilization = 0.0;
@@ -312,20 +322,24 @@ class Machine {
                               bool ids_are_banks, RequestTiming* timing,
                               BulkResult& res, FailTally& tally);
 
-  /// Batched-route engine: one bank-routing pass per op, then the
-  /// binary-heap scheduled loop, the dense fast path or the SoA batched
-  /// kernel, per `choice`.
+  /// Batched-route engine: the binary-heap scheduled loop, the dense
+  /// fast path or the SoA batched kernel, per `choice`, over the
+  /// per-element bank plane `route` and per-bank counts `cnt` that
+  /// run() computed.
   std::uint64_t run_batched(std::span<const std::uint64_t> ids,
-                            bool ids_are_banks, RequestTiming* timing,
+                            bool ids_are_banks, const std::uint64_t* route,
+                            std::uint64_t* cnt, RequestTiming* timing,
                             BulkResult& res, FailTally& tally,
                             obs::EngineChoice choice);
 
   /// Structure-of-arrays batched kernel (docs/performance.md §soa);
-  /// exact only under EngineFeatures::eligible_soa. `route` is the
-  /// per-element bank plane already computed by run_batched.
+  /// exact only under EngineFeatures::eligible_soa. `route` is run()'s
+  /// bank plane and `cnt` its per-bank request counts (consumed: the
+  /// bucketed kernel turns them into offsets).
   std::uint64_t run_soa(std::span<const std::uint64_t> ids,
                         bool ids_are_banks, const std::uint64_t* route,
-                        BulkResult& res, std::uint64_t max_count);
+                        std::uint64_t* cnt, BulkResult& res,
+                        std::uint64_t max_count);
 
   /// Fire-and-forget write traffic from the cache tier: traverses the
   /// network and occupies a bank, acks to nobody. `whole_line` marks a

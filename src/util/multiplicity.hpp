@@ -85,12 +85,6 @@ class MultiplicityCounter {
     return {best, distinct};
   }
 
-  /// Max multiplicity over `keys` (0 for an empty span): count().max.
-  [[nodiscard]] std::uint64_t max_multiplicity(
-      std::span<const std::uint64_t> keys) {
-    return count(keys).max;
-  }
-
   /// Grows so a span of `n` keys counts without rehashing. Never
   /// shrinks; growth discards stale tags (fresh slots, epoch 0).
   void reserve(std::size_t n) {

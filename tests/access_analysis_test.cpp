@@ -6,7 +6,11 @@
 //     under all three mappings;
 //   * stats::shannon_entropy / value_profile / multiplicities /
 //     contention_spectrum vs the std::map formulas, entropy compared by
-//     the bytes of the double.
+//     the bytes of the double;
+//   * the access profile sim::Machine builds per op (k, distinct count,
+//     requested bank load) vs core::profile_access over the same
+//     addresses, on every engine and machine feature, and every
+//     algos::Vm ledger prediction vs a core::predict_scatter recount.
 
 #include <gtest/gtest.h>
 
@@ -16,15 +20,28 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "algos/connected_components.hpp"
+#include "algos/radix_sort.hpp"
+#include "algos/random_permutation.hpp"
+#include "algos/spmv.hpp"
+#include "algos/vm.hpp"
+#include "core/access_profile.hpp"
+#include "core/predictor.hpp"
+#include "fault/fault_plan.hpp"
 #include "mem/bank_mapping.hpp"
 #include "mem/contention.hpp"
+#include "sim/machine.hpp"
 #include "stats/histogram.hpp"
+#include "util/bits.hpp"
 #include "util/multiplicity.hpp"
 #include "util/rng.hpp"
 #include "workload/entropy.hpp"
+#include "workload/graphs.hpp"
 #include "workload/patterns.hpp"
+#include "workload/sparse.hpp"
 
 namespace dxbsp::util {
 
@@ -235,6 +252,165 @@ TEST(AccessAnalysis, MultiplicitiesAndSpectrumMatchMapCounting) {
     }
     EXPECT_EQ(stats::multiplicities(f.trace), mult) << f.name;
     EXPECT_EQ(stats::contention_spectrum(f.trace), spectrum) << f.name;
+  }
+}
+
+/// The three mapping families over `banks` banks.
+std::vector<std::shared_ptr<const mem::BankMapping>> every_mapping(
+    std::uint64_t banks) {
+  util::Xoshiro256 rng(17);
+  return {std::make_shared<mem::InterleavedMapping>(banks),
+          std::make_shared<mem::BitReversalMapping>(banks),
+          std::make_shared<mem::HashedMapping>(banks, mem::HashDegree::kCubic,
+                                               rng)};
+}
+
+/// Dead banks from cycle 0 (every request aimed at one fails over), slow
+/// banks and NACKs with retries: the served bank load departs from the
+/// mapping's route.
+std::shared_ptr<const fault::FaultPlan> failover_plan(std::uint64_t banks) {
+  fault::FaultConfig fc;
+  fc.seed = 5;
+  fc.slow_fraction = 0.25;
+  fc.slow_multiplier = 4;
+  fc.dead_fraction = 0.25;
+  fc.drop_rate = 0.02;
+  return std::make_shared<fault::FaultPlan>(fc, banks);
+}
+
+struct MachineVariant {
+  std::string name;
+  sim::MachineConfig cfg;
+  bool faults = false;
+};
+
+/// test_machine (p = 4, 16 banks) plain with a binding window (heap
+/// loop) and a wide one (dense / SoA paths), under a fault plan with
+/// failover, with combining, and with the processor cache tier.
+std::vector<MachineVariant> machine_variants() {
+  const sim::MachineConfig base = sim::MachineConfig::test_machine();
+  std::vector<MachineVariant> vs;
+  vs.push_back({"plain", base});
+  sim::MachineConfig wide = base;
+  wide.slackness = 1 << 16;
+  vs.push_back({"plain_wide_window", wide});
+  vs.push_back({"faults_failover", base, true});
+  sim::MachineConfig comb = wide;
+  comb.combine_requests = true;
+  vs.push_back({"combining", comb});
+  sim::MachineConfig tier = base;
+  tier.cache.capacity = 64;
+  tier.cache.line_words = 8;
+  tier.cache.assoc = 8;
+  tier.cache.write = cache::WritePolicy::kBack;
+  vs.push_back({"cache_tier", tier});
+  return vs;
+}
+
+TEST(AccessAnalysis, MachineProfileMatchesProfileAccess) {
+  const std::vector<Family> families = every_family();
+  for (const MachineVariant& v : machine_variants()) {
+    const core::DxBspParams m = core::DxBspParams::from_config(v.cfg);
+    for (const auto& mapping : every_mapping(v.cfg.banks())) {
+      for (const auto engine :
+           {sim::Machine::Engine::kAuto, sim::Machine::Engine::kReference}) {
+        sim::Machine machine(v.cfg, mapping);
+        machine.set_engine(engine);
+        if (v.faults) machine.inject(failover_plan(v.cfg.banks()));
+        for (const Family& f : families) {
+          const std::string what =
+              v.name + " " + mapping->name() + " " +
+              (engine == sim::Machine::Engine::kAuto ? "auto" : "reference") +
+              " " + f.name;
+          const sim::BulkResult res = machine.scatter_faulty(f.trace).bulk;
+          const core::AccessProfile want =
+              core::profile_access(f.trace, m, mapping.get());
+          EXPECT_EQ(res.max_location_contention, want.max_contention) << what;
+          EXPECT_EQ(res.distinct_locations, want.distinct) << what;
+          EXPECT_EQ(res.max_requested_bank_load, want.h_bank_mapped) << what;
+          const core::AccessProfile got = core::profile_bulk(res, m);
+          EXPECT_EQ(got.n, want.n) << what;
+          EXPECT_EQ(got.h_proc, want.h_proc) << what;
+          EXPECT_EQ(got.h_bank_location, want.h_bank_location) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(AccessAnalysis, ScatterBanksProfileCountsTheBankIds) {
+  const sim::MachineConfig cfg = sim::MachineConfig::test_machine();
+  sim::Machine machine(cfg);
+  const Trace banks = workload::uniform_random(5000, cfg.banks(), 21);
+  const sim::BulkResult res = machine.scatter_banks(banks);
+  const RefLocations ref = sorted_reference(banks);
+  EXPECT_EQ(res.max_location_contention, ref.max);
+  EXPECT_EQ(res.distinct_locations, ref.distinct);
+  // The bank ids are their own route: the requested load is k.
+  EXPECT_EQ(res.max_requested_bank_load, ref.max);
+}
+
+/// Runs `body` on a Vm and requires every irregular op's ledger entry to
+/// equal a predict_scatter recount over the op's addresses, captured by
+/// the trace hook (which fires just before the op's entry is added).
+template <typename Body>
+void expect_ledger_matches_recount(const MachineVariant& v,
+                                   std::shared_ptr<const mem::BankMapping> mapping,
+                                   Body&& body, const std::string& what) {
+  algos::Vm vm(v.cfg, mapping);
+  if (v.faults) vm.machine().inject(failover_plan(v.cfg.banks()));
+  std::vector<std::pair<std::size_t, Trace>> ops;
+  vm.set_trace_hook(
+      [&](const std::string&, std::span<const std::uint64_t> addrs) {
+        ops.emplace_back(vm.ledger().entries().size(),
+                         Trace(addrs.begin(), addrs.end()));
+      });
+  body(vm);
+  ASSERT_FALSE(ops.empty()) << what;
+  const core::DxBspParams& m = vm.params();
+  for (const auto& [at, addrs] : ops) {
+    ASSERT_LT(at, vm.ledger().entries().size()) << what;
+    const core::LedgerEntry& e = vm.ledger().entries()[at];
+    const core::Prediction pred =
+        core::predict_scatter(addrs, m, &vm.machine().mapping());
+    // These algorithms charge the default two auxiliary streams per op.
+    const auto aux = static_cast<std::uint64_t>(std::ceil(
+        2.0 * static_cast<double>(util::ceil_div(addrs.size(), m.p)) *
+        static_cast<double>(m.g)));
+    const std::string where = what + " " + e.label;
+    EXPECT_EQ(e.n, addrs.size()) << where;
+    EXPECT_EQ(e.max_contention, pred.profile.max_contention) << where;
+    EXPECT_EQ(e.pred_dxbsp, std::max(pred.dxbsp_mapped, aux + 2 * m.L))
+        << where;
+    EXPECT_EQ(e.pred_bsp, std::max(pred.bsp, aux + 2 * m.L)) << where;
+  }
+}
+
+TEST(AccessAnalysis, VmLedgerMatchesPredictScatterRecount) {
+  const Trace keys = workload::uniform_random(4096, 1ULL << 32, 31);
+  const workload::CsrMatrix csr = workload::random_csr(1024, 1024, 6, 32);
+  const std::vector<double> x(1024, 0.5);
+  const workload::Graph graph = workload::random_gnm(2048, 4096, 33);
+  for (const MachineVariant& v : machine_variants()) {
+    for (const auto& mapping : every_mapping(v.cfg.banks())) {
+      const std::string what = v.name + " " + mapping->name();
+      expect_ledger_matches_recount(
+          v, mapping, [&](algos::Vm& vm) { (void)algos::radix_sort(vm, keys, 32); },
+          what + " radix_sort");
+      expect_ledger_matches_recount(
+          v, mapping, [&](algos::Vm& vm) { (void)algos::spmv(vm, csr, x); },
+          what + " spmv");
+      expect_ledger_matches_recount(
+          v, mapping,
+          [&](algos::Vm& vm) { (void)algos::connected_components(vm, graph); },
+          what + " connected_components");
+      expect_ledger_matches_recount(
+          v, mapping,
+          [&](algos::Vm& vm) {
+            (void)algos::random_permutation_qrqw(vm, 4096, 34);
+          },
+          what + " random_permutation");
+    }
   }
 }
 

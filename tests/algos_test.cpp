@@ -15,6 +15,7 @@
 #include "algos/random_permutation.hpp"
 #include "algos/spmv.hpp"
 #include "algos/vm.hpp"
+#include "mem/contention.hpp"
 #include "util/rng.hpp"
 #include "workload/graphs.hpp"
 #include "workload/patterns.hpp"
@@ -461,6 +462,42 @@ TEST(Cc, TracesAreRecordedOnRequest) {
   (void)algos::connected_components(vm, g, &stats, {.keep_traces = true});
   EXPECT_EQ(stats.gather_traces.size(), stats.iterations.size());
   EXPECT_EQ(stats.gather_traces[0].size(), 2 * g.m());
+}
+
+TEST(Cc, HookContentionEqualsRecountOfEachHookOp) {
+  // hook_contention is read off the hook op's ledger entry; it must equal
+  // the analyze_locations recount of that op. Region::addr is affine, so
+  // the hook addresses have the hook targets' multiplicities.
+  const std::vector<workload::Graph> graphs = {
+      workload::random_gnm(2000, 3000, 41), workload::star(1500),
+      workload::star_forest(2000, 16, 42), workload::grid(30, 40)};
+  for (int variant = 0; variant < 3; ++variant) {
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      auto vm = test_vm();
+      std::vector<std::uint64_t> recount;
+      vm.set_trace_hook(
+          [&](const std::string& label, std::span<const std::uint64_t> addrs) {
+            if (label == "cc-hook-scatter" || label == "rm-hook-scatter")
+              recount.push_back(mem::analyze_locations(addrs).max_contention);
+          });
+      algos::CcStats stats;
+      if (variant == 2)
+        (void)algos::connected_components_random_mate(vm, graphs[gi], 43,
+                                                      &stats);
+      else
+        (void)algos::connected_components(vm, graphs[gi], &stats,
+                                          {.single_shortcut = variant == 1});
+      std::vector<std::uint64_t> got;
+      for (const auto& it : stats.iterations) {
+        if (it.hooks > 0)
+          got.push_back(it.hook_contention);
+        else
+          EXPECT_EQ(it.hook_contention, 0u);
+      }
+      EXPECT_FALSE(recount.empty()) << "variant " << variant << " graph " << gi;
+      EXPECT_EQ(got, recount) << "variant " << variant << " graph " << gi;
+    }
+  }
 }
 
 TEST(Cc, SamePartitionHelper) {

@@ -30,6 +30,8 @@ inline void expect_same_bulk(const sim::BulkResult& a,
   EXPECT_EQ(a.failovers, b.failovers);
   EXPECT_EQ(a.degraded_cycles, b.degraded_cycles);
   EXPECT_EQ(a.max_location_contention, b.max_location_contention);
+  EXPECT_EQ(a.distinct_locations, b.distinct_locations);
+  EXPECT_EQ(a.max_requested_bank_load, b.max_requested_bank_load);
   EXPECT_DOUBLE_EQ(a.bank_utilization, b.bank_utilization);
   // Attribution is part of the bit-identical contract: same critical
   // event, same decomposition, same bank-load distribution.

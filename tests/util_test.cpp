@@ -481,32 +481,32 @@ TEST(MultiplicityCounter, MatchesUnorderedMapCounting) {
     for (const auto k : keys) want = std::max(want, ++ref[k]);
     // Each call is an independent count: round r must not see round
     // r-1's tallies (the epoch tag, not a memset, invalidates them).
-    ASSERT_EQ(mc.max_multiplicity(keys), want) << "round " << round;
+    ASSERT_EQ(mc.count(keys).max, want) << "round " << round;
   }
 }
 
 TEST(MultiplicityCounter, EmptyAllEqualAndSentinelKeys) {
   util::MultiplicityCounter mc;
-  EXPECT_EQ(mc.max_multiplicity({}), 0u);
+  EXPECT_EQ(mc.count({}).max, 0u);
   std::vector<std::uint64_t> same(257, ~0ULL);  // sentinel-looking key
-  EXPECT_EQ(mc.max_multiplicity(same), 257u);
+  EXPECT_EQ(mc.count(same).max, 257u);
   std::vector<std::uint64_t> distinct(100);
   for (std::uint64_t i = 0; i < 100; ++i) distinct[i] = i * 977;
-  EXPECT_EQ(mc.max_multiplicity(distinct), 1u);
+  EXPECT_EQ(mc.count(distinct).max, 1u);
 }
 
 TEST(MultiplicityCounter, GrowthMidSweepKeepsCountsExact) {
   util::MultiplicityCounter mc;
   std::vector<std::uint64_t> small{1, 2, 1};
-  EXPECT_EQ(mc.max_multiplicity(small), 2u);
+  EXPECT_EQ(mc.count(small).max, 2u);
   const std::size_t cap_before = mc.capacity();
   std::vector<std::uint64_t> big(5000);
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = i % 1250;
-  EXPECT_EQ(mc.max_multiplicity(big), 4u);
+  EXPECT_EQ(mc.count(big).max, 4u);
   EXPECT_GT(mc.capacity(), cap_before);
   // Shrinking input after growth keeps capacity and stays correct.
-  EXPECT_EQ(mc.max_multiplicity(small), 2u);
-  EXPECT_EQ(mc.max_multiplicity(big), 4u);
+  EXPECT_EQ(mc.count(small).max, 2u);
+  EXPECT_EQ(mc.count(big).max, 4u);
 }
 
 // ---- ScratchArena ----
