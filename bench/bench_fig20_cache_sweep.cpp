@@ -110,11 +110,16 @@ int main(int argc, char** argv) {
                              {n, seed, base.processors, base.gap,
                               base.latency}),
         keys, opt, obs);
+    // Each pattern's trace is shared by its 16 grid points, so it is
+    // generated once (the zipf one builds a 2^20-rank table).
+    std::vector<std::vector<std::uint64_t>> traces;
+    for (std::size_t pat = 0; pat < 4; ++pat)
+      traces.push_back(make_pattern(pat, n, seed));
     resilience::SweepRunner runner(id, std::move(opt));
     worker.begin(runner.token());
     const auto report = runner.run(keys, [&](std::uint64_t key) {
       const auto cfg = config_at(key);
-      const auto addrs = make_pattern((key / 16) % 4, n, seed);
+      const auto& addrs = traces[(key / 16) % 4];
       sim::Machine machine(cfg);
       machine.set_cancel(&runner.token());
       obs.attach(machine, key);

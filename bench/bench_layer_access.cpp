@@ -8,8 +8,9 @@
 // (shannon_entropy). Behind them, the simulator layer: Machine::scatter
 // pinned to the SoA chain kernel, and one algos::Vm::gather (route,
 // profile, simulate and predict in one op). Each runs at n = 2^15 (a
-// hostbench paper_sweep op) and n = 2^20 (the figure benches' default).
-// Reported as items/s; there is no gate on these numbers — the
+// hostbench paper_sweep op) and n = 2^20 (the figure benches' default),
+// except gen/zipf_table, which draws 2^13 and 2^18 samples from a
+// 2^20-rank table, the figures' shape. Reported as items/s; there is no gate on these numbers — the
 // end-to-end benchmark is hostbench.
 
 #include <benchmark/benchmark.h>
@@ -107,6 +108,18 @@ void bm_zipf(benchmark::State& state, double theta) {
   set_items(state);
 }
 
+/// zipf at the figures' shape: every call builds a 2^20-rank table, as
+/// fig6, fig20 and the hostbench paper_sweep do, to draw n samples.
+void bm_zipf_table(benchmark::State& state, double theta) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    const auto xs = workload::zipf(n, 1ULL << 20, theta, seed++);
+    benchmark::DoNotOptimize(xs.data());
+  }
+  set_items(state);
+}
+
 /// Machine::scatter forced onto the SoA kernel: the J90 with its window
 /// widened to n so every op is SoA-eligible (no observers attached).
 void bm_scatter_soa(benchmark::State& state) {
@@ -156,6 +169,11 @@ void register_all() {
     sizes(benchmark::RegisterBenchmark(
         ("gen/zipf/theta=" + std::to_string(theta).substr(0, 3)).c_str(),
         bm_zipf, theta));
+  // n = 2^13 is a paper_sweep zipf op, 2^18 is fig6 at its default n.
+  benchmark::RegisterBenchmark("gen/zipf_table/theta=0.8", bm_zipf_table, 0.8)
+      ->Arg(1 << 13)
+      ->Arg(1 << 18)
+      ->Unit(benchmark::kMicrosecond);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #    the snapshot corruption fuzz explicitly under the sanitizers (random
 #    seeded fault plans and attacker-shaped snapshot bytes are the
 #    likeliest places for a latent memory bug to hide).
+# 2b. ThreadSanitizer leg: a third tree built with -fsanitize=thread
+#    runs workload_test (the zipf table build starts its own threads)
+#    and util_test's ThreadPool cases.
 # 3. Kill-and-resume smoke: SIGTERM a checkpointing sweep mid-flight,
 #    resume it, and require the output to be byte-identical to a
 #    straight-through run. Also checks that --deadline=0.000001 produces
@@ -89,6 +92,15 @@ echo "== spill corruption fuzz under sanitizers =="
 # plus the pressure-model model check, on attacker-shaped bytes.
 ./build-ci-san/tests/stream_test \
   --gtest_filter='SpillFuzz.*:SpillStore.*:PressureModel.*'
+
+echo "== thread sanitizer (zipf table build, ThreadPool) =="
+# workload::zipf starts its own table-build threads, outside
+# util::ThreadPool. A third tree, built with -fsanitize=thread through
+# the compiler flags, runs the generator tests and the pool's tests.
+cmake -B build-ci-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread >/dev/null
+cmake --build build-ci-tsan -j"$JOBS" --target workload_test util_test
+./build-ci-tsan/tests/workload_test
+./build-ci-tsan/tests/util_test --gtest_filter='ThreadPool.*'
 
 echo "== kill-and-resume smoke =="
 SMOKE=$(mktemp -d)

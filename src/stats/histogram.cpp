@@ -1,6 +1,7 @@
 #include "stats/histogram.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/bits.hpp"
@@ -9,12 +10,35 @@ namespace dxbsp::stats {
 
 namespace {
 
+/// Sorts `keys` ascending: an LSD radix sort on 8-bit digits that skips
+/// every digit on which all keys agree, since that pass would move
+/// nothing.
+void radix_sort(std::vector<std::uint64_t>& keys) {
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (const std::uint64_t k : keys) {
+    any |= k;
+    all &= k;
+  }
+  const std::uint64_t varying = any ^ all;
+  if (varying == 0) return;
+  std::vector<std::uint64_t> buf(keys.size());
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::array<std::size_t, 257> start{};
+    for (const std::uint64_t k : keys) ++start[((k >> shift) & 0xFF) + 1];
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const std::uint64_t k : keys) buf[start[(k >> shift) & 0xFF]++] = k;
+    keys.swap(buf);
+  }
+}
+
 /// Calls visit(value, count) once per distinct value of `xs`, in
 /// ascending value order: a sort of a copy, then a walk over its runs.
 template <typename Visit>
 void for_each_run(std::span<const std::uint64_t> xs, Visit&& visit) {
   std::vector<std::uint64_t> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
+  radix_sort(sorted);
   for (std::size_t i = 0; i < sorted.size();) {
     std::size_t j = i + 1;
     while (j < sorted.size() && sorted[j] == sorted[i]) ++j;

@@ -1,8 +1,11 @@
 #include "workload/patterns.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
@@ -29,7 +32,95 @@ void append_distinct(std::vector<std::uint64_t>& out, util::FlatMap64& used,
   }
 }
 
+/// std::lower_bound(xs, xs + len, u) - xs for len >= 1, without a branch
+/// on the data: random u would mispredict about half of the steps.
+std::uint64_t lower_bound_index(const double* xs, std::uint64_t len,
+                                double u) {
+  const double* base = xs;
+  while (len > 1) {
+    const std::uint64_t half = len / 2;
+    base = base[half] < u ? base + half : base;
+    len -= half;
+  }
+  return static_cast<std::uint64_t>(base - xs) + (*base < u ? 1 : 0);
+}
+
+/// The argument rule zipf and ZipfTable share.
+void check_zipf_args(std::uint64_t space, double theta) {
+  if (space == 0 || space > (1ULL << 22))
+    throw std::invalid_argument("zipf: space must be in [1, 2^22]");
+  if (theta < 0.0) throw std::invalid_argument("zipf: theta must be >= 0");
+}
+
 }  // namespace
+
+// The terms are independent, so threads started for the build (tables of
+// kSerialBelow ranks or more) compute them in kChunk-rank chunks, claimed
+// from an atomic counter, straight into the table. The calling thread
+// turns each chunk into prefix sums, in rank order, as soon as it is
+// ready, and computes unclaimed chunks itself while it waits; a thread
+// that cannot be started leaves its chunks to the others.
+ZipfTable::ZipfTable(std::uint64_t space, double theta) : space_(space) {
+  check_zipf_args(space, theta);
+  cdf_.reset(new double[space]);
+  block_end_.resize((space + kBlock - 1) / kBlock);
+  const std::uint64_t chunks = (space + kChunk - 1) / kChunk;
+  double* const cdf = cdf_.get();
+  std::atomic<std::uint64_t> next{0};
+  std::vector<std::atomic<bool>> ready(chunks);
+  // Computes the terms of one unclaimed chunk; false once none is left.
+  // pow(x, 1) == x for every rank here (workload_test checks it over the
+  // whole range), so theta == 1 skips the call with identical bits.
+  const auto claim = [&] {
+    const std::uint64_t c = next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= chunks) return false;
+    const std::uint64_t end = std::min(space, (c + 1) * kChunk);
+    for (std::uint64_t r = c * kChunk; r < end; ++r) {
+      const double x = static_cast<double>(r + 1);
+      cdf[r] = 1.0 / (theta == 1.0 ? x : std::pow(x, theta));
+    }
+    ready[c].store(true, std::memory_order_release);
+    return true;
+  };
+  std::vector<std::jthread> workers;
+  if (space >= kSerialBelow) {
+    const std::uint64_t threads = std::min<std::uint64_t>(
+        std::max(1U, std::thread::hardware_concurrency()), chunks);
+    workers.reserve(threads - 1);
+    try {
+      while (workers.size() + 1 < threads)
+        workers.emplace_back([&] {
+          while (claim()) {
+          }
+        });
+    } catch (const std::system_error&) {
+      // Run with the threads that did start.
+    }
+  }
+  double acc = 0.0;
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    while (!ready[c].load(std::memory_order_acquire))
+      if (!claim()) std::this_thread::yield();
+    const std::uint64_t end = std::min(space, (c + 1) * kChunk);
+    for (std::uint64_t b = c * kChunk; b < end; b += kBlock) {
+      const std::uint64_t block_end = std::min(end, b + kBlock);
+      for (std::uint64_t r = b; r < block_end; ++r) {
+        acc += cdf[r];
+        cdf[r] = acc;
+      }
+      block_end_[b / kBlock] = acc;
+    }
+  }
+}
+
+std::uint64_t ZipfTable::rank(double u) const {
+  const std::uint64_t blk =
+      lower_bound_index(block_end_.data(), block_end_.size(), u);
+  if (blk == block_end_.size()) return space_;
+  const std::uint64_t begin = blk * kBlock;
+  return begin + lower_bound_index(cdf_.get() + begin,
+                                   std::min(kBlock, space_ - begin), u);
+}
 
 std::vector<std::uint64_t> distinct_random(std::uint64_t n, std::uint64_t space,
                                            std::uint64_t seed) {
@@ -119,9 +210,7 @@ std::vector<std::uint64_t> random_permutation(std::uint64_t n,
 
 std::vector<std::uint64_t> zipf(std::uint64_t n, std::uint64_t space,
                                 double theta, std::uint64_t seed) {
-  if (space == 0 || space > (1ULL << 22))
-    throw std::invalid_argument("zipf: space must be in [1, 2^22]");
-  if (theta < 0.0) throw std::invalid_argument("zipf: theta must be >= 0");
+  check_zipf_args(space, theta);
   util::Xoshiro256 rng(util::substream(seed, 6));
   std::vector<std::uint64_t> out;
   out.reserve(n);
@@ -138,20 +227,9 @@ std::vector<std::uint64_t> zipf(std::uint64_t n, std::uint64_t space,
   }
   // Inverse-CDF table over the ranks. The hot ranks sit at the low
   // addresses; callers who need them scattered can hash the result.
-  // pow(x, 1) == x for every rank here (workload_test checks it over the
-  // whole range), so theta == 1 skips the call with identical bits.
-  std::vector<double> cdf(space);
-  double acc = 0.0;
-  for (std::uint64_t r = 0; r < space; ++r) {
-    const double x = static_cast<double>(r + 1);
-    acc += 1.0 / (theta == 1.0 ? x : std::pow(x, theta));
-    cdf[r] = acc;
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double u = rng.uniform() * acc;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    out.push_back(static_cast<std::uint64_t>(it - cdf.begin()));
-  }
+  const ZipfTable table(space, theta);
+  for (std::uint64_t i = 0; i < n; ++i)
+    out.push_back(table.rank(rng.uniform() * table.total()));
   return out;
 }
 

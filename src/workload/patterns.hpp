@@ -6,6 +6,8 @@
 // through the issue order, as they would be across a vectorized loop.
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace dxbsp::workload {
@@ -62,6 +64,38 @@ namespace dxbsp::workload {
                                               std::uint64_t space,
                                               double theta,
                                               std::uint64_t seed);
+
+/// The inverse-CDF table zipf draws from: cdf[r] = Σ_{s ≤ r} 1/(s+1)^theta
+/// for r in [0, space), added strictly in rank order, so every entry has
+/// the bits of a plain serial loop. The terms are computed in parallel for
+/// large tables (docs/performance.md §host-side access analysis); zipf
+/// builds one per call and keeps none. space must be in [1, 2^22] and
+/// theta >= 0, as for zipf.
+class ZipfTable {
+ public:
+  ZipfTable(std::uint64_t space, double theta);
+
+  [[nodiscard]] std::span<const double> cdf() const noexcept {
+    return {cdf_.get(), space_};
+  }
+
+  /// The sum of all terms: cdf()[space - 1].
+  [[nodiscard]] double total() const noexcept { return block_end_.back(); }
+
+  /// The first r with cdf()[r] >= u (space if none), as std::lower_bound
+  /// over the whole table returns, found in a block index holding cdf at
+  /// the end of each 64-rank block and then in one block.
+  [[nodiscard]] std::uint64_t rank(double u) const;
+
+ private:
+  static constexpr std::uint64_t kChunk = 1ULL << 14;  ///< ranks per claim
+  static constexpr std::uint64_t kBlock = 64;  ///< ranks per index entry
+  static constexpr std::uint64_t kSerialBelow = 1ULL << 16;
+
+  std::uint64_t space_;
+  std::vector<double> block_end_;  ///< cdf at the last rank of each block
+  std::unique_ptr<double[]> cdf_;  ///< not zero-filled: every rank is set
+};
 
 /// In-place Fisher–Yates shuffle with the library RNG (exposed because
 /// several generators and algorithms need exactly this, deterministically).

@@ -6,11 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <unordered_set>
 
 #include "mem/contention.hpp"
 #include "stats/histogram.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/entropy.hpp"
 #include "workload/graphs.hpp"
 #include "workload/patterns.hpp"
@@ -171,6 +174,93 @@ TEST(Patterns, PowOfOneIsExactOverZipfRanks) {
     if (std::pow(x, one) != x) ++mismatches;
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+/// zipf's inverse-CDF table as one serial loop, summed in rank order.
+std::vector<double> serial_zipf_cdf(std::uint64_t space, double theta) {
+  std::vector<double> cdf(space);
+  double acc = 0.0;
+  for (std::uint64_t r = 0; r < space; ++r) {
+    const double x = static_cast<double>(r + 1);
+    acc += 1.0 / (theta == 1.0 ? x : std::pow(x, theta));
+    cdf[r] = acc;
+  }
+  return cdf;
+}
+
+/// zipf's draws for theta > 0 from `cdf`: a lower_bound over the whole
+/// table per sample.
+std::vector<std::uint64_t> serial_zipf(std::uint64_t n,
+                                       const std::vector<double>& cdf,
+                                       std::uint64_t seed) {
+  util::Xoshiro256 rng(util::substream(seed, 6));
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const double u = rng.uniform() * cdf.back();
+    out.push_back(static_cast<std::uint64_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin()));
+  }
+  return out;
+}
+
+/// ZipfTable::rank against std::lower_bound at, just below and just
+/// above cdf[r] for ranks spread over the table, and outside it.
+void expect_rank_is_lower_bound(const workload::ZipfTable& table,
+                                const std::vector<double>& cdf) {
+  const auto lower_bound = [&](double u) {
+    return static_cast<std::uint64_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  };
+  std::vector<double> us = {0.0, -1.0, cdf.back() * 2};
+  for (std::uint64_t r = 0; r < cdf.size(); r += 1 + r / 8) {
+    us.push_back(cdf[r]);
+    us.push_back(std::nextafter(cdf[r], 0.0));
+    us.push_back(std::nextafter(cdf[r], cdf.back() * 2));
+  }
+  for (const double u : us)
+    ASSERT_EQ(table.rank(u), lower_bound(u)) << "u " << u;
+}
+
+TEST(Patterns, ZipfMatchesSerialReference) {
+  // Sizes on both sides of the table build's term chunk (2^14 ranks),
+  // its 64-rank search block and its serial cutoff (2^16 ranks).
+  const std::uint64_t spaces[] = {1,     2,     63,      64,
+                                  65,    16387, 1 << 20, 1 << 22};
+  for (const double theta : {0.5, 0.8, 1.0, 1.1, 1.2, 1.5}) {
+    for (const std::uint64_t space : spaces) {
+      const auto cdf = serial_zipf_cdf(space, theta);
+      // Draws almost never land within an ulp of a table entry, so the
+      // table's bits are compared directly.
+      const workload::ZipfTable table(space, theta);
+      ASSERT_EQ(table.cdf().size(), space);
+      EXPECT_EQ(std::memcmp(table.cdf().data(), cdf.data(),
+                            space * sizeof(double)),
+                0)
+          << "theta " << theta << " space " << space;
+      EXPECT_EQ(table.total(), cdf.back());
+      expect_rank_is_lower_bound(table, cdf);
+      for (const std::uint64_t n : {1ULL, 1ULL << 13}) {
+        const std::uint64_t seed = space + n;
+        EXPECT_EQ(workload::zipf(n, space, theta, seed),
+                  serial_zipf(n, cdf, seed))
+            << "theta " << theta << " space " << space << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Patterns, ZipfFromConcurrentCallersMatchesSerialReference) {
+  // Each call starts its own table-build threads; calls from several
+  // pool workers at once must not share or disturb each other's tables.
+  const auto cdf = serial_zipf_cdf(1 << 20, 1.1);
+  util::ThreadPool pool(4);
+  std::vector<std::future<std::vector<std::uint64_t>>> draws;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    draws.push_back(pool.submit(
+        [seed] { return workload::zipf(1 << 13, 1 << 20, 1.1, seed); }));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    EXPECT_EQ(draws[seed - 1].get(), serial_zipf(1 << 13, cdf, seed))
+        << "seed " << seed;
 }
 
 TEST(Entropy, FamilyEntropyDecreasesContentionIncreases) {
